@@ -54,7 +54,7 @@ from repro.fastpath.engine import (
     ENGINE_REFERENCE,
     resolve_engine,
 )
-from repro.sim.engine import SimulationTimeout
+from repro.sim.engine import AllSettled, SimulationTimeout
 from repro.tracking.att import AddressTrackingTable
 
 #: Sentinel "no upcoming event" slot for the batch classifiers.
@@ -505,7 +505,7 @@ class CacheSystem:
         return self.slot - start
 
     def run_ops(self, ops: List[CpuOp], max_slots: int = 200_000) -> None:
-        self.run_until(lambda: all(op.done for op in ops), max_slots)
+        self.run_until(AllSettled(ops), max_slots)
 
     def _raise_timeout(self, max_slots: int) -> None:
         stuck: List[str] = []
@@ -581,12 +581,11 @@ class CacheSystem:
         hp = self.hotpath
         token = hp.claim("cache") if hp is not None else None
         try:
-            remaining = [op for op in ops if not op.done]
-            while remaining:
+            settled = AllSettled(ops)
+            while not settled():
                 if self.slot - start >= max_slots:
                     self._raise_timeout(max_slots)
                 self._batch_step(limit, vector)
-                remaining = [op for op in remaining if not op.done]
         finally:
             if hp is not None:
                 hp.release(token)

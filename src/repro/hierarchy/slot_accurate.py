@@ -53,7 +53,7 @@ from repro.fastpath.engine import (
 from repro.hierarchy.controller import EventType, NetworkController
 from repro.hierarchy.hierarchical import IllegalStateCombination, _LEGAL
 from repro.sim.criticality import parse_tier
-from repro.sim.engine import SimulationTimeout
+from repro.sim.engine import AllSettled, SimulationTimeout
 
 #: Sentinel "no upcoming event" slot (matches repro.cache.protocol._FAR).
 _FAR = 1 << 60
@@ -598,7 +598,7 @@ class SlotAccurateHierarchy:
         return self.slot - start
 
     def run_ops(self, ops: List[HierOp], max_slots: int = 300_000) -> None:
-        self.run_until(lambda: all(op.done for op in ops), max_slots)
+        self.run_until(AllSettled(ops), max_slots)
 
     def _raise_timeout(self, max_slots: int) -> None:
         stuck: List[str] = []
@@ -672,12 +672,11 @@ class SlotAccurateHierarchy:
         hp = self.hotpath
         token = hp.claim("hier") if hp is not None else None
         try:
-            remaining = [op for op in ops if not op.done]
-            while remaining:
+            settled = AllSettled(ops)
+            while not settled():
                 if self.slot - start >= max_slots:
                     self._raise_timeout(max_slots)
                 self._batch_step(limit, vector)
-                remaining = [op for op in remaining if not op.done]
         finally:
             if hp is not None:
                 hp.release(token)

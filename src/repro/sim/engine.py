@@ -30,7 +30,8 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from typing import Callable, List, Optional
+from operator import attrgetter
+from typing import Callable, List, Optional, Sequence
 
 
 class SimulationTimeout(RuntimeError):
@@ -48,6 +49,37 @@ class SimulationTimeout(RuntimeError):
         self.slot = slot
         self.max_slots = max_slots
         self.stuck = list(stuck or [])
+
+
+class AllSettled:
+    """Stateful "every op has settled" predicate for driver loops.
+
+    Each call advances a cursor past settled ops and stops at the first
+    unsettled one, so a check costs O(1) amortised and a whole run of
+    ``slots`` checks costs O(len(ops) + slots) predicate evaluations.
+
+    Exact only because settling is monotone: once ``settled(op)`` is true
+    it stays true for the rest of the run (``done`` never reverts), so an
+    op behind the cursor never needs looking at again and the predicate
+    turns true at the same call as a full ``all(...)`` scan would.
+    """
+
+    __slots__ = ("_ops", "_settled", "_next")
+
+    def __init__(self, ops: Sequence[object],
+                 settled: Callable[[object], bool] = attrgetter("done")
+                 ) -> None:
+        self._ops = tuple(ops)
+        self._settled = settled
+        self._next = 0
+
+    def __call__(self) -> bool:
+        ops, settled, i = self._ops, self._settled, self._next
+        n = len(ops)
+        while i < n and settled(ops[i]):
+            i += 1
+        self._next = i
+        return i == n
 
 
 class Event:

@@ -20,11 +20,22 @@ import pytest
 from repro.cache.protocol import CacheSystem
 from repro.cache.state import CacheLineState
 from repro.core.block import Block
+from repro.core.cfm import CFMemory
+from repro.core.config import CFMConfig
+from repro.faults import (
+    FaultEvent,
+    FaultInjector,
+    FaultPlan,
+    RecoveringOp,
+    RetryPolicy,
+    run_with_recovery,
+)
 from repro.hierarchy.slot_accurate import SlotAccurateHierarchy
 from repro.obs.hotpath import HotpathProfiler
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.probe import RecordingProbe
 from repro.sim.engine import SimulationTimeout
+from repro.tracking.atomic import CFMDriver
 
 SHAPES = [(4, 1), (8, 2), (16, 4)]
 
@@ -98,8 +109,38 @@ def _plan_sync(n_procs, rounds, seed):
     return plan
 
 
+def _edge_list(shape, ops, prior):
+    """The list a driver is handed for one round: ``ops`` recast as one of
+    the completion cursor's edge cases.  Ops join their processor's queue
+    when created, so the list decides only when the driver sees them all
+    settled, never what the simulation does."""
+    if shape is None:
+        return ops
+    if shape == "reversed":
+        return ops[::-1]
+    if shape == "interleaved":  # odd positions first: procs out of order
+        return ops[1::2] + ops[::2]
+    if shape == "mixed_done":  # already-done ops around a reversed round
+        return prior[:1] + ops[::-1] + prior[1:]
+    if shape == "duplicate":
+        return ops + ops[::-1]
+    assert shape == "empty", shape
+    return ops
+
+
+EDGE_LISTS = ["reversed", "interleaved", "mixed_done", "duplicate", "empty"]
+
+
+def _drive(run, slot_of, shape, ops, prior):
+    if shape == "empty":
+        before = slot_of()
+        run([])
+        assert slot_of() == before  # nothing to wait for: no slot passes
+    run(_edge_list(shape, ops, prior))
+
+
 def _run_cache_plan(n_procs, bank_cycle, plan, batch, probe=None,
-                    metrics=None, hotpath=None):
+                    metrics=None, hotpath=None, shape=None):
     sys_ = CacheSystem(n_procs, bank_cycle=bank_cycle, probe=probe,
                        metrics=metrics, hotpath=hotpath)
     all_ops = []
@@ -114,10 +155,8 @@ def _run_cache_plan(n_procs, bank_cycle, plan, batch, probe=None,
                 ops.append(sys_.acquire(p, off))
             else:
                 ops.append(sys_.flush(p, off))
-        if batch:
-            sys_.run_ops_batch(ops)
-        else:
-            sys_.run_ops(ops)
+        _drive(sys_.run_ops_batch if batch else sys_.run_ops,
+               lambda: sys_.slot, shape, ops, all_ops)
         all_ops.extend(ops)
     sys_.check_coherence_invariant()
     return sys_, all_ops
@@ -165,6 +204,19 @@ def test_cache_batch_bit_identical(workload, n_procs, bank_cycle):
     assert _fingerprint(ref_sys, ref_ops) == _fingerprint(bat_sys, bat_ops)
 
 
+@pytest.mark.parametrize("shape", EDGE_LISTS)
+@pytest.mark.parametrize("workload", ["shared", "sync"])
+def test_cache_cursor_edge_lists_bit_identical(workload, shape):
+    """Reordered, duplicated, partly-done and empty op lists change only
+    what the driver waits on: both drivers must finish every round at the
+    slot the plain list does."""
+    plan = PLANS[workload](8, rounds=6, seed=41)
+    plain = _fingerprint(*_run_cache_plan(8, 2, plan, batch=False))
+    for batch in (False, True):
+        run = _run_cache_plan(8, 2, plan, batch=batch, shape=shape)
+        assert _fingerprint(*run) == plain
+
+
 def test_cache_batch_with_probe_matches_unprobed():
     """Observers pin the per-slot path — results must still be identical,
     and the probe must see the same event stream as a reference run."""
@@ -189,28 +241,48 @@ def test_cache_batch_with_metrics_matches_bare():
     assert reg.snapshot()  # the registry really was fed
 
 
+# A timeout must fire at the same slot, naming the same stuck op, whether
+# the driver is handed just the wedged op or a reversed list that also
+# holds an op finished earlier.
+TIMEOUT_LISTS = [
+    lambda wedged, finished: [wedged],
+    lambda wedged, finished: [wedged, finished],
+]
+
+CACHE_STUCK = ["proc 1 store@0 phase=memory retries=125 reissue_at=506"]
+
+
 def test_cache_batch_timeout_names_stuck_op():
-    sys_ = CacheSystem(4)
-    op = sys_.acquire(0, 0)  # unmatched acquire: others can never finish
-    sys_.run_ops([op])
-    blocked = sys_.store(1, 0, {0: 9})
-    with pytest.raises(SimulationTimeout) as exc:
-        sys_.run_ops_batch([blocked], max_slots=500)
-    assert "proc 1" in str(exc.value)
-    assert exc.value.max_slots == 500
-    assert any("proc 1" in s for s in exc.value.stuck)
+    for listed in TIMEOUT_LISTS:
+        sys_ = CacheSystem(4)
+        op = sys_.acquire(0, 0)  # unmatched acquire: others can never finish
+        sys_.run_ops([op])
+        blocked = sys_.store(1, 0, {0: 9})
+        start = sys_.slot
+        with pytest.raises(SimulationTimeout) as exc:
+            sys_.run_ops_batch(listed(blocked, op), max_slots=500)
+        assert "proc 1" in str(exc.value)
+        assert exc.value.max_slots == 500
+        assert any("proc 1" in s for s in exc.value.stuck)
+        assert exc.value.slot == start + 500
+        assert exc.value.stuck == CACHE_STUCK
 
 
 def test_cache_reference_timeout_is_simulation_timeout():
     """run_ops hitting max_slots raises the same descriptive error (and
     stays a RuntimeError for pre-existing callers)."""
-    sys_ = CacheSystem(4)
-    sys_.run_ops([sys_.acquire(0, 0)])
-    blocked = sys_.store(1, 0, {0: 9})
-    with pytest.raises(RuntimeError) as exc:
-        sys_.run_ops([blocked], max_slots=500)
-    assert isinstance(exc.value, SimulationTimeout)
-    assert "proc 1" in str(exc.value)
+    for listed in TIMEOUT_LISTS:
+        sys_ = CacheSystem(4)
+        op = sys_.acquire(0, 0)
+        sys_.run_ops([op])
+        blocked = sys_.store(1, 0, {0: 9})
+        start = sys_.slot
+        with pytest.raises(RuntimeError) as exc:
+            sys_.run_ops(listed(blocked, op), max_slots=500)
+        assert isinstance(exc.value, SimulationTimeout)
+        assert "proc 1" in str(exc.value)
+        assert exc.value.slot == start + 500
+        assert exc.value.stuck == CACHE_STUCK
 
 
 # --------------------------------------------------------------------------
@@ -246,7 +318,8 @@ def _hier_plan(n_clusters, per, rounds, seed, local):
     return plan
 
 
-def _run_hier_plan(n_clusters, per, plan, batch, local, hotpath=None):
+def _run_hier_plan(n_clusters, per, plan, batch, local, hotpath=None,
+                   shape=None):
     hier = SlotAccurateHierarchy(n_clusters, per, hotpath=hotpath)
     if local:
         _seed_local(hier, n_clusters, per)
@@ -255,10 +328,8 @@ def _run_hier_plan(n_clusters, per, plan, batch, local, hotpath=None):
         ops = [hier.load(g, off) if kind == "load"
                else hier.store(g, off, words)
                for g, kind, off, words in round_ops]
-        if batch:
-            hier.run_ops_batch(ops)
-        else:
-            hier.run_ops(ops)
+        _drive(hier.run_ops_batch if batch else hier.run_ops,
+               lambda: hier.slot, shape, ops, all_ops)
         all_ops.extend(ops)
     hier.check_invariants()
     return hier, all_ops
@@ -291,13 +362,116 @@ def test_hierarchy_batch_bit_identical(local, n_clusters, per):
     assert _hier_fingerprint(*ref) == _hier_fingerprint(*bat)
 
 
+@pytest.mark.parametrize("shape", EDGE_LISTS)
+def test_hierarchy_cursor_edge_lists_bit_identical(shape):
+    plan = _hier_plan(2, 4, rounds=6, seed=43, local=False)
+    plain = _hier_fingerprint(*_run_hier_plan(2, 4, plan, batch=False,
+                                              local=False))
+    for batch in (False, True):
+        run = _run_hier_plan(2, 4, plan, batch=batch, local=False,
+                             shape=shape)
+        assert _hier_fingerprint(*run) == plain
+
+
 def test_hierarchy_timeout_is_simulation_timeout():
-    hier = SlotAccurateHierarchy(2, 2)
-    op = hier.load(0, 0)
-    with pytest.raises(RuntimeError) as exc:
-        hier.run_ops([op], max_slots=3)  # the L2-miss path needs far more
-    assert isinstance(exc.value, SimulationTimeout)
-    assert exc.value.max_slots == 3
+    stuck = []
+    for listed in TIMEOUT_LISTS:
+        hier = SlotAccurateHierarchy(2, 2)
+        warm = hier.load(3, 5)  # cluster 1, disjoint from the op below
+        hier.run_ops([warm])
+        op = hier.load(0, 0)
+        start = hier.slot
+        with pytest.raises(RuntimeError) as exc:
+            # the L2-miss path needs far more than 3 slots
+            hier.run_ops(listed(op, warm), max_slots=3)
+        assert isinstance(exc.value, SimulationTimeout)
+        assert exc.value.max_slots == 3
+        assert exc.value.slot == start + 3
+        stuck.append(str(exc.value))
+    assert len(set(stuck)) == 1
+
+
+# --------------------------------------------------------------------------
+# Driver cost contract: O(ops + slots) settle checks per run
+
+
+class _CountingOp:
+    """Stands in for an op in the list a driver is handed, counting every
+    ``done`` read (each settle check reads it exactly once)."""
+
+    def __init__(self, op, reads):
+        self._op = op
+        self._reads = reads
+
+    @property
+    def done(self):
+        self._reads[0] += 1
+        return self._op.done
+
+    def __getattr__(self, name):
+        return getattr(self._op, name)
+
+
+def _cache_stream(batch):
+    sys_ = CacheSystem(8, bank_cycle=2)
+    ops = []
+    for round_ops in _plan_shared(8, rounds=125, seed=53):
+        ops += [sys_.load(p, off) if kind == "load"
+                else sys_.store(p, off, words)
+                for p, kind, off, words in round_ops]
+    drive = sys_.run_ops_batch if batch else sys_.run_ops
+    return ops, drive, lambda: sys_.slot
+
+
+def _hier_stream(batch):
+    hier = SlotAccurateHierarchy(4, 4)
+    ops = [hier.load(g, off) if kind == "load"
+           else hier.store(g, off, words)
+           for round_ops in _hier_plan(4, 4, rounds=20, seed=59, local=False)
+           for g, kind, off, words in round_ops]
+    drive = hier.run_ops_batch if batch else hier.run_ops
+    return ops, drive, lambda: hier.slot
+
+
+def _recovery_stream():
+    # One op per processor (a CFM port takes one access at a time).  A
+    # stuck bank aborts every access until slot 300; per-op backoffs then
+    # spread the ops' settling over the slots that follow.
+    mem = CFMemory(CFMConfig(n_procs=32, bank_cycle=1))
+    mem.faults = FaultInjector(FaultPlan.of(
+        [FaultEvent(kind="bank_stuck", start=0, duration=300, target=0)]
+    ))
+    driver = CFMDriver(mem)
+    ops = [RecoveringOp(driver, p, p,
+                        policy=RetryPolicy(max_retries=100,
+                                           backoff_slots=p + 1))
+           for p in range(32)]
+    return ops, lambda listed: run_with_recovery(driver, listed), \
+        lambda: mem.slot
+
+
+DRIVER_STREAMS = {
+    "cache.run_ops": lambda: _cache_stream(batch=False),
+    "cache.run_ops_batch": lambda: _cache_stream(batch=True),
+    "hierarchy.run_ops": lambda: _hier_stream(batch=False),
+    "hierarchy.run_ops_batch": lambda: _hier_stream(batch=True),
+    "faults.run_with_recovery": _recovery_stream,
+}
+
+
+@pytest.mark.parametrize("driver", sorted(DRIVER_STREAMS))
+def test_driver_settle_checks_linear_in_ops_plus_slots(driver):
+    """Every driver loop checks completion through one monotone cursor:
+    at most one settle check per op plus one per elapsed slot, where a
+    rescan of the op list each slot costs O(ops x slots)."""
+    ops, drive, slot_of = DRIVER_STREAMS[driver]()
+    reads = [0]
+    start = slot_of()
+    drive([_CountingOp(op, reads) for op in ops])
+    slots = slot_of() - start
+    assert all(op.done for op in ops)
+    assert slots > 100
+    assert reads[0] <= len(ops) + slots + 1, (reads[0], len(ops), slots)
 
 
 # --------------------------------------------------------------------------
