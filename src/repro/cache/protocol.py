@@ -38,7 +38,6 @@ from typing import Callable, Deque, Dict, List, Optional, Tuple
 
 from repro.core.block import Block, Word
 from repro.core.cfm import (
-    _INIT_WORD,
     AccessController,
     AccessKind,
     AccessState,
@@ -380,7 +379,8 @@ class CacheSystem:
         self.metrics = metrics
         #: Optional :class:`repro.obs.HotpathProfiler` counting how
         #: :meth:`run_ops_batch` advanced time (layer ``"cache"``).  Purely
-        #: observational and — unlike probe/metrics — batch-compatible.
+        #: observational and — like metrics, unlike a probe —
+        #: batch-compatible.
         self.hotpath = hotpath
         if metrics is not None:
             self._op_latency = metrics.histogram("cache.op_latency")
@@ -538,7 +538,8 @@ class CacheSystem:
         offsets, no live foreign ATT entries, no remote cached copies) and
         no processor-side event is due, the whole stretch up to the next
         event is serviced in one pass over the precomputed bank orders —
-        exactly the walk :meth:`CFMemory.run_batch` performs — with
+        the walk :meth:`CFMemory.run_batch` performs
+        (:meth:`CFMemory._advance_span`) — with
         completion callbacks fired at their slot-accurate times.  Any slot
         with potential coherence action (invalidations, write-backs,
         retries, sync ops) falls back to :meth:`tick`.
@@ -612,14 +613,11 @@ class CacheSystem:
                 hp.count("cache", "tick.degraded")
             self.tick()
             return
-        if (
-            self.probe is not None
-            or self.metrics is not None
-            or self.mem.probe is not None
-            or self.mem.metrics is not None
-        ):
-            # Observers define per-slot event streams: stay on the
-            # reference path (same rule as CFMemory._fast_eligible).
+        if self.probe is not None or self.mem.probe is not None:
+            # Probes define per-slot event streams: stay on the reference
+            # path (same rule as CFMemory._fast_eligible).  Metrics ride
+            # the span walk: bank utilization accumulates in bulk and op /
+            # access metrics fire at completion.
             if hp is not None:
                 hp.count("cache", "tick.observed")
             self.tick()
@@ -669,7 +667,7 @@ class CacheSystem:
                 hp.count("cache", "batched_slots", target - slot + 1)
         elif hp is not None:
             hp.count("cache", "skipped_slots", target - slot + 1)
-        self._advance_span(target)
+        self.mem._advance_span(target)
 
     def _cpu_next_slot(self, slot: int) -> int:
         """Earliest slot at which some processor state machine acts.
@@ -775,59 +773,6 @@ class CacheSystem:
                     ):
                         return False
         return True
-
-    def _advance_span(self, target: int) -> int:
-        """Run every in-flight access forward through slot ``target``.
-
-        The exact inner loop of :meth:`CFMemory.run_batch`: each access is
-        a straight walk along its precomputed bank order (consecutive
-        slots visit consecutive banks), so the span is serviced per access
-        instead of per slot.  Completions all land exactly at ``target``
-        (the span never extends past the earliest finisher) and fire in
-        processor order with ``slot`` set the way :meth:`tick` would.
-
-        Returns the number of completions fired, so callers batching
-        *above* this layer (the hierarchy) know whether the cluster's
-        cached classification is still valid.
-        """
-        mem = self.mem
-        slot = mem.slot
-        active = mem.active
-        if active:
-            n_banks = mem.cfg.banks_per_module
-            orders = mem._orders
-            banks = mem.banks
-            row = mem._table[slot % n_banks]
-            span = target - slot + 1
-            finishers: List[BlockAccess] = []
-            for acc in active:
-                order = orders[row[acc.proc]]
-                offset = acc.offset
-                remaining = n_banks - acc.words_done
-                steps = span if span < remaining else remaining
-                if acc.kind.is_write:
-                    data = acc.data
-                    assert data is not None
-                    words = data.words
-                    version = acc.version
-                    written = acc.banks_written
-                    for bank in order[:steps]:
-                        banks[bank][offset] = Word(words[bank].value, version)
-                        written.append(bank)
-                else:
-                    results = acc.result_words
-                    for bank in order[:steps]:
-                        results[bank] = banks[bank].get(offset, _INIT_WORD)
-                acc.words_done += steps
-                if acc.words_done == n_banks:
-                    finishers.append(acc)
-            mem.slot = target
-            for acc in finishers:
-                mem._finish(acc, AccessState.COMPLETED, target)
-            mem.slot = target + 1
-            return len(finishers)
-        mem.slot = target + 1
-        return 0
 
     # -- per-processor state machine -------------------------------------------------
 

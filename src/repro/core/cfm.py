@@ -32,6 +32,7 @@ from __future__ import annotations
 import enum
 from bisect import insort
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Callable, Dict, List, Optional
 
 from repro.core.block import Block, Word
@@ -52,6 +53,10 @@ from repro.sim.engine import SimulationTimeout
 #: path allocates nothing on a miss (Word is frozen, so sharing is safe).
 _INIT_WORD = Word(0, "init")
 
+#: Sort key of the proc-sorted ``active`` list (one shared getter, not a
+#: closure per issue).
+_BY_PROC = attrgetter("proc")
+
 
 class AccessKind(enum.Enum):
     """Direction/role of a block access.
@@ -69,14 +74,14 @@ class AccessKind(enum.Enum):
     SWAP_READ = "swap_read"
     SWAP_WRITE = "swap_write"
 
-    @property
-    def is_write(self) -> bool:
-        """Does this access store into the banks?"""
-        return self in (AccessKind.WRITE, AccessKind.WRITE_BACK, AccessKind.SWAP_WRITE)
+    #: Does this access store into the banks?  A plain per-member value
+    #: (set once at class creation): the engines test it per access.
+    is_write: bool
+    is_read: bool
 
-    @property
-    def is_read(self) -> bool:
-        return not self.is_write
+    def __init__(self, value: str) -> None:
+        self.is_write = value in ("write", "write_back", "swap_write")
+        self.is_read = not self.is_write
 
 
 class AccessState(enum.Enum):
@@ -99,12 +104,15 @@ class ConflictError(RuntimeError):
     """Two accesses addressed the same bank in the same slot."""
 
 
-@dataclass(slots=True)
+@dataclass(slots=True, eq=False)
 class BlockAccess:
     """One in-flight block access.
 
     ``slots=True``: these are allocated once per access and touched once
     per slot — the dominant record type of the slot-accurate simulators.
+    ``eq=False``: an access is an identity, never a value — ``active``
+    membership tests and ``remove`` compare by ``is``, and two field-equal
+    accesses (stacked lanes, re-issues) stay distinct.
     """
 
     access_id: int
@@ -303,9 +311,10 @@ class CFMemory:
         # change a simulation result, and `is None` is the whole cost when off).
         self.probe = probe
         self.metrics = metrics
-        #: Optional :class:`repro.obs.HotpathProfiler`.  Unlike probe and
-        #: metrics this does *not* pin the per-slot path: it only counts
-        #: how run_batch() advanced time, never what the simulation did.
+        #: Optional :class:`repro.obs.HotpathProfiler`.  Like metrics (and
+        #: unlike a probe) this does *not* pin the per-slot path: it only
+        #: counts how run_batch() advanced time, never what the simulation
+        #: did.
         self.hotpath = None
         #: Optional :class:`repro.faults.FaultInjector`.  An attached
         #: injector with a zero plan is a strict no-op (and keeps the batch
@@ -395,7 +404,7 @@ class CFMemory:
         )
         self._next_id += 1
         self._proc_busy[proc] = True
-        insort(self.active, acc, key=lambda a: a.proc)
+        insort(self.active, acc, key=_BY_PROC)
         if self.probe is not None:
             self.probe.emit(
                 "cfm", "issue", self.slot, access_id=acc.access_id,
@@ -507,11 +516,10 @@ class CFMemory:
                 unlink: bool = True) -> None:
         # ``unlink=False`` is the stacked engine's bulk-unlink protocol:
         # the caller has already removed every finisher from ``active`` in
-        # one pass (list.remove is an O(n) scan through the dataclass
-        # __eq__ of each already-reissued access — the dominant cost of
-        # finishing under load).  Everything else here is unchanged, so
-        # completion order, complete_slot, observers, and callbacks stay
-        # bit-identical.
+        # one identity-filter pass instead of one list.remove per finisher
+        # (each an O(n) identity scan past the already-reissued accesses).
+        # Everything else here is unchanged, so completion order,
+        # complete_slot, observers, and callbacks stay bit-identical.
         acc.state = state
         if unlink:
             self.active.remove(acc)
@@ -738,13 +746,15 @@ class CFMemory:
     def _fast_eligible(self) -> bool:
         """May the batch engine stand in for tick()?
 
-        Requires: no observers (probes/metrics are defined per-slot, so
-        they pin the reference path), no live fault injection (fault
-        windows and the degraded schedule are defined per-slot too), and a
+        Requires: no probe (probe events are defined per slot, so a probe
+        pins the reference path), no live fault injection (fault windows
+        and the degraded schedule are defined per-slot too), and a
         controller that overrides none of the hooks — i.e. the
-        access-control layer is provably inert.
+        access-control layer is provably inert.  Metrics do not pin:
+        :meth:`_advance_span` accumulates bank utilization in bulk, and
+        counters and the latency histogram fire in :meth:`_finish`.
         """
-        if self.probe is not None or self.metrics is not None:
+        if self.probe is not None:
             return False
         if self._dead_bank is not None:
             return False
@@ -785,19 +795,26 @@ class CFMemory:
         * **per-access batching** — an undisturbed access is a straight
           walk along a precomputed bank order, so every active access is
           run forward to the earliest completion slot in one tight loop
-          (conflict checks are subsumed by the static row-injectivity
-          proof of the table itself);
+          (:meth:`_advance_span`);
         * **completion-slot scheduling** — finish callbacks fire exactly
           at their slot-accurate times, in processor order, so chained
           re-issues land on the same slots as under :meth:`tick`.
+
+        Conflict checks: the batched path performs no per-visit check.
+        Conflict-freedom there rests on the construction-time proof that
+        every row of ``slot_bank_table`` is injective plus the
+        one-access-per-processor check in :meth:`issue` — the same
+        contract as the numpy engines.  Any per-slot fallback runs
+        :meth:`tick`, which still raises :class:`ConflictError`.
+
+        An attached metrics registry stays on this path and sees exactly
+        what :meth:`tick` would feed it; a probe pins every slot to
+        :meth:`tick` (counted as ``tick.pinned``).
         """
         if slots < 0:
             raise ValueError(f"slots must be >= 0, got {slots}")
         end = self.slot + slots
         n_banks = self.cfg.banks_per_module
-        table = self._table
-        orders = self._orders
-        banks = self.banks
         active = self.active
         # Eligibility and the hazard set can only change through finish
         # callbacks (issue/probe/controller swaps all happen there) or
@@ -822,7 +839,7 @@ class CFMemory:
                 if not active:
                     if hp is not None:
                         hp.count("cfm", "skipped_slots", end - self.slot)
-                    self.slot = end  # idle-slot skip
+                    self._advance_span(end - 1)  # idle-slot skip
                     break
                 if hazard:
                     if hp is not None:
@@ -837,59 +854,145 @@ class CFMemory:
                     slot + n_banks - acc.words_done - 1 for acc in active
                 )
                 target = min(next_finish, end - 1)
-                span = target - slot + 1
-                full = span == n_banks  # implies words_done == 0 for everyone
-                row = table[slot % n_banks]
-                finishers: List[BlockAccess] = []
-                # active cannot mutate inside this loop (callbacks only fire
-                # from _finish below), so no snapshot copy is needed.
-                for acc in active:
-                    bank_now = row[acc.proc]
-                    if acc.words_done == 0:
-                        acc.first_bank = bank_now
-                        acc.start_slot = slot
-                        # controller.on_start is the base no-op (checked by
-                        # _fast_eligible), so it is not called.
-                    offset = acc.offset
-                    order = orders[bank_now]
-                    if acc.kind.is_write:
-                        data = acc.data
-                        assert data is not None
-                        words = data.words
-                        version = acc.version
-                        written = acc.banks_written
-                        seq = order if full else order[:span]
-                        for bank in seq:
-                            banks[bank][offset] = Word(words[bank].value, version)
-                            written.append(bank)
-                    elif full:
-                        # Whole access in one round: build the result dict in
-                        # a single comprehension (the steady-state case).
-                        acc.result_words = {
-                            bank: banks[bank].get(offset, _INIT_WORD)
-                            for bank in order
-                        }
-                    else:
-                        results = acc.result_words
-                        for bank in order[:span]:
-                            results[bank] = banks[bank].get(offset, _INIT_WORD)
-                    acc.words_done += span
-                    if acc.words_done == n_banks:
-                        finishers.append(acc)
-                # Completions observe the slot they finish in, exactly as
-                # under tick(); re-issues from callbacks join at target + 1.
-                self.slot = target
-                for acc in finishers:
-                    self._finish(acc, AccessState.COMPLETED, target)
-                self.slot = target + 1
+                finished = self._advance_span(target)
                 if hp is not None:
-                    hp.count("cfm", "batched_slots", span)
-                if finishers:
+                    hp.count("cfm", "batched_slots", target - slot + 1)
+                if finished:
                     eligible = self._fast_eligible()
                     hazard = self._batch_hazard()
         finally:
             if hp is not None:
                 hp.release(token)
+
+    def _advance_span(self, target: int) -> int:
+        """Run every active access forward through slot ``target``.
+
+        The batch engine's span walk, shared with the coherence layer's
+        epochs: each access is a straight walk along its precomputed bank
+        order (consecutive slots visit consecutive banks), so the span is
+        serviced per access instead of per slot.  The caller guarantees
+        the span is batchable (no hook, fault or write interleaving can
+        act in it) and that no access performs its last word before
+        ``target`` — so every access performs exactly ``target - slot + 1``
+        words and completions all land at ``target``, firing in processor
+        order with ``slot`` set the way :meth:`tick` would.  With nothing
+        active this is an idle leap.
+
+        Returns the number of completions fired, so callers batching
+        above this layer know whether their cached classification is
+        still valid.
+        """
+        slot = self.slot
+        if self.metrics is not None:
+            self._account_span(slot, target)
+        active = self.active
+        if not active:
+            self.slot = target + 1
+            return 0
+        n_banks = self.cfg.banks_per_module
+        orders = self._orders
+        banks = self.banks
+        row = self._table[slot % n_banks]
+        span = target - slot + 1
+        full = span == n_banks  # implies words_done == 0 for everyone
+        finishers: List[BlockAccess] = []
+        # active cannot mutate inside this loop (callbacks only fire from
+        # _finish below), so no snapshot copy is needed.
+        for acc in active:
+            bank_now = row[acc.proc]
+            if acc.words_done == 0:
+                acc.first_bank = bank_now
+                acc.start_slot = slot
+                # controller.on_start is the base no-op (checked by the
+                # callers' eligibility proofs), so it is not called.
+            offset = acc.offset
+            order = orders[bank_now]
+            if acc.kind.is_write:
+                data = acc.data
+                assert data is not None
+                words = data.words
+                version = acc.version
+                written = acc.banks_written
+                for bank in (order if full else order[:span]):
+                    banks[bank][offset] = Word(words[bank].value, version)
+                    written.append(bank)
+            elif full:
+                # Whole access in one round: build the result dict in a
+                # single comprehension (the steady-state case).
+                acc.result_words = {
+                    bank: banks[bank].get(offset, _INIT_WORD)
+                    for bank in order
+                }
+            else:
+                results = acc.result_words
+                for bank in order[:span]:
+                    results[bank] = banks[bank].get(offset, _INIT_WORD)
+            acc.words_done += span
+            if acc.words_done == n_banks:
+                finishers.append(acc)
+        # Completions observe the slot they finish in, exactly as under
+        # tick(); re-issues from callbacks join at target + 1.
+        self.slot = target
+        for acc in finishers:
+            self._finish(acc, AccessState.COMPLETED, target)
+        self.slot = target + 1
+        return len(finishers)
+
+    def _account_span(self, slot: int, target: int) -> None:
+        """Add slots ``slot..target`` to every bank's utilization in bulk.
+
+        Exactly what :meth:`tick` accumulates one slot at a time, for a
+        span in which every active access performs one word per slot (a
+        :meth:`_advance_span` walk, or an idle leap).  A visit at slot
+        ``v`` holds its bank busy for ``v .. v + c - 1`` (§3.1.3), and
+        conflict-freedom puts visits to one bank at least ``c`` slots
+        apart (every row of the AT table is injective and bank
+        ``(t + c·p) mod b`` repeats only after a multiple of ``c``), so
+        hold windows never overlap: each bank's busy count is the carry-in
+        from ``_bank_busy_until`` plus ``c`` per visit, with only visits
+        in the span's last ``c - 1`` slots clipped at ``target``.  Those
+        are also the only visits whose window reaches past ``target``, so
+        they alone need recording in ``_bank_busy_until``.
+        """
+        n = self.cfg.n_banks
+        c = self.cfg.bank_cycle
+        span = target - slot + 1
+        busy_until = self._bank_busy_until
+        # Carry-in first: windows opened before the span, read before the
+        # tail visits below overwrite them.
+        busy = [0] * n
+        for k in range(n):
+            held = busy_until[k]
+            if held >= slot:
+                busy[k] = (held if held < target else target) - slot + 1
+        # Access i visits banks first_i, first_i + 1, ... (mod b) at
+        # slots slot, slot + 1, ...: its leading ``whole`` visits hold
+        # their bank for all c slots (a circular arc, counted through a
+        # difference array), the rest are clipped at the span end.
+        whole = span - c + 1
+        cover = [0] * n
+        row = self._table[slot % n]
+        for acc in self.active:
+            first = row[acc.proc]
+            if whole > 0:
+                cover[first] += 1
+                stop = first + whole
+                if stop < n:
+                    cover[stop] -= 1
+                elif stop > n:  # the arc wraps past bank n - 1
+                    cover[0] += 1
+                    cover[stop - n] -= 1
+            for j in range(whole if whole > 0 else 0, span):
+                bank = (first + j) % n
+                busy[bank] += span - j
+                busy_until[bank] = slot + j + c - 1
+        util = self._bank_util
+        visits = 0
+        for k in range(n):
+            visits += cover[k]
+            u = util[k]
+            u.total += span
+            u.busy += busy[k] + c * visits
 
     def run_vector(self, slots: int) -> None:
         """Advance ``slots`` slots via the stage-3 numpy epoch engine.

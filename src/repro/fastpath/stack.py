@@ -15,14 +15,14 @@ Two further single-lane optimizations ride on the stage-3 engine's frame
 (both measured, together worth more than the planning amortization):
 
 * **bulk finisher unlink** — under full load every finisher's
-  :meth:`~repro.core.cfm.CFMemory._finish` used to ``active.remove(acc)``,
-  an O(n) scan through dataclass ``__eq__``s past the already-reissued
-  accesses (~5x the cost of the finish itself at 64 procs).  The stack
-  driver unlinks all finishers in one identity-filter pass and calls
-  ``_finish(..., unlink=False)``; completion order, ``complete_slot``,
-  callback order, and the proc-sorted active list are unchanged — proc
-  keys are unique, so the sorted list is uniquely determined by its
-  membership, not by insertion interleaving.
+  :meth:`~repro.core.cfm.CFMemory._finish` would ``active.remove(acc)``,
+  an O(n) identity scan past the already-reissued accesses, once per
+  finisher.  The stack driver unlinks all finishers in one
+  identity-filter pass and calls ``_finish(..., unlink=False)``;
+  completion order, ``complete_slot``, callback order, and the
+  proc-sorted active list are unchanged — proc keys are unique, so the
+  sorted list is uniquely determined by its membership, not by
+  insertion interleaving.
 * **shared whole-block memo** — a full-epoch read's result holds every
   bank's word and is independent of rotation order; the stage-3 engine
   memoized it per offset but *copied* the dict per access.  The memo dict
@@ -35,12 +35,13 @@ Two further single-lane optimizations ride on the stage-3 engine's frame
 (:meth:`~repro.core.cfm.CFMemory._fast_eligible` /
 :meth:`~repro.core.cfm.CFMemory._batch_hazard`) at the top of every
 round.  A lane that picks up a hazard — fault plan, degraded bank,
-observer, same-offset write interleaving — is individually *ejected*
-from the stack onto its own :meth:`~repro.core.cfm.CFMemory.run_batch`
-for the rest of its window (counted as ``stack.fallbacks``), while the
-remaining lanes stay vectorized.  Typed fault semantics therefore pass
-through untouched: an ejected lane raises or degrades exactly as it
-would standalone.
+probe, same-offset write interleaving — or carries a metrics registry
+(the stacked plan accumulates no bank utilization) is individually
+*ejected* from the stack onto its own
+:meth:`~repro.core.cfm.CFMemory.run_batch` for the rest of its window
+(counted as ``stack.fallbacks``), while the remaining lanes stay
+vectorized.  Typed fault semantics therefore pass through untouched: an
+ejected lane raises or degrades exactly as it would standalone.
 
 Bit-identity to per-spec serial :func:`repro.obs.bench.run_spec` is the
 invariant everywhere (invariant 11, ``tests/test_fastpath_stage4.py``):
@@ -114,11 +115,14 @@ def run_stack(mems: Sequence[object],
                 mem, end = lane[0], lane[1]
                 if mem.slot >= end:
                     continue  # retired: budget exhausted
-                if not mem._fast_eligible() or mem._batch_hazard():
-                    # Eject this lane: its static proof broke (observer,
-                    # fault plan, degraded bank, write interleaving).
-                    # run_batch re-proves per round and ticks where it
-                    # must; the lane leaves the stack for good.
+                if (mem.metrics is not None or not mem._fast_eligible()
+                        or mem._batch_hazard()):
+                    # Eject this lane: its static proof broke (probe,
+                    # fault plan, degraded bank, write interleaving) or it
+                    # is metered (the stacked plan accumulates no bank
+                    # utilization).  run_batch re-proves per round and
+                    # ticks where it must; the lane leaves the stack for
+                    # good.
                     hp = mem.hotpath
                     if hp is not None:
                         hp.count("cfm", "stack.fallbacks")
@@ -255,8 +259,9 @@ def stackable_spec(spec: Dict[str, object]) -> bool:
     an explicit ``engine`` pin — i.e. the engine-driven bench runner,
     whose report depends only on the params and the engine-invariant
     completion stream (invariants 10–11).  The engineless cfm runner is
-    the *observed* per-slot path (metrics in the report) and cannot be
-    stacked bit-identically; it never qualifies."""
+    the *observed* issue-at-top-of-slot driver (metrics in the report,
+    latency β) and cannot be stacked bit-identically; it never
+    qualifies."""
     if spec.get("system") != "cfm":
         return False
     if spec.get("inject") is not None:

@@ -30,7 +30,9 @@ The proof obligation is unchanged from stage 2 and enforced the same way:
 ``_batch_hazard`` before every epoch and hands the rest of the window to
 :meth:`~repro.core.cfm.CFMemory.run_batch` the moment a hazard —
 same-offset write interleaving, an active fault plan, a degraded bank,
-any attached observer — breaks the static proof.  Differential tests
+an attached probe — breaks the static proof, and likewise whenever a
+metrics registry is attached (this planner accumulates no bank
+utilization; ``run_batch`` does).  Differential tests
 (``tests/test_fastpath_stage3.py``) pin all three engines bit-identical.
 """
 
@@ -152,17 +154,21 @@ def att_windows(plan: EpochPlan,
 
 
 def advance_span(mem, target: int) -> int:
-    """Vector twin of :meth:`CacheSystem._advance_span`.
+    """Vector twin of :meth:`CFMemory._advance_span`.
 
     Runs every in-flight access of ``mem`` forward through ``target``
     with the epoch planned in numpy, firing completions at ``target`` in
     processor order; returns the number of completions.  The caller (a
     cache/hierarchy classifier) has already proven the span interaction-
-    free and ``target`` no later than the earliest finish.
+    free and ``target`` no later than the earliest finish.  The planner
+    accumulates no bank utilization, so a module with metrics attached
+    takes the batch span walk instead, which does.
     """
     from repro.core.cfm import AccessState, _INIT_WORD
     from repro.core.block import Word
 
+    if mem.metrics is not None:
+        return mem._advance_span(target)
     slot = mem.slot
     active = mem.active
     if not active:
@@ -235,12 +241,15 @@ def run_vector(mem, slots: int) -> None:
     memo: Dict[int, Dict[int, object]] = {}
     try:
         while mem.slot < end:
-            if not mem._fast_eligible() or mem._batch_hazard():
-                # The static proof broke (observer, fault plan, degraded
-                # bank, same-offset write interleaving): fall back to the
-                # batch engine for the rest of the window.  run_batch
-                # re-proves per round and ticks where it must — including
-                # the pinned-but-idle case, which needs per-slot ticks.
+            if (mem.metrics is not None or not mem._fast_eligible()
+                    or mem._batch_hazard()):
+                # The static proof broke (probe, fault plan, degraded
+                # bank, same-offset write interleaving) or metrics are
+                # attached (this planner accumulates no utilization): fall
+                # back to the batch engine for the rest of the window.
+                # run_batch re-proves per round and ticks where it must —
+                # including the pinned-but-idle case, which needs per-slot
+                # ticks.
                 if hp is not None:
                     hp.count("cfm", "vector.fallbacks")
                 mem.run_batch(end - mem.slot)

@@ -636,7 +636,7 @@ class SlotAccurateHierarchy:
         work (NC transactions, parked wakeups, global traffic) runs through
         the reference :meth:`tick`; only spans where *all* activity is
         provably conflict-free intra-cluster streaming are leapt, reusing
-        each cluster's AT tables via ``CacheSystem._advance_span`` with the
+        each cluster's AT tables via ``CFMemory._advance_span`` with the
         three slot counters (hierarchy, clusters, global) kept in lockstep.
         """
         self._run_ops_fast(ops, max_slots, vector=False)
@@ -718,10 +718,7 @@ class SlotAccurateHierarchy:
             nxt = self._parked_next - 1  # span must stop before the wakeup
         cache = self._span_cache
         for c, cs in enumerate(self.clusters):
-            if (
-                cs.probe is not None or cs.metrics is not None
-                or cs.mem.probe is not None or cs.mem.metrics is not None
-            ):
+            if cs.probe is not None or cs.mem.probe is not None:
                 if hp is not None:
                     hp.count("hier", "tick.observed")
                 self.tick()
@@ -786,7 +783,7 @@ class SlotAccurateHierarchy:
                     cache[c] = None  # completions changed directory state
         else:
             for c, cs in enumerate(self.clusters):
-                if cs._advance_span(target):
+                if cs.mem._advance_span(target):
                     cache[c] = None  # completions changed directory state
         self.global_mem.slot = target + 1  # its on_slot is the base no-op
         self.slot = target + 1

@@ -136,11 +136,19 @@ def _run_cfm(n_procs: int, bank_cycle: int, cycles: int,
     outstanding block read.  Conflict checking stays on — a ConflictError
     here would falsify the paper's theorem, so it is allowed to propagate.
 
+    Without ``engine`` this is the *observed* issue loop: a processor
+    whose access completed re-issues at the top of the next slot (latency
+    β, full metrics).  Time advances with :meth:`CFMemory.run_batch` from
+    one completion to the next, which keeps the registry fed exactly as a
+    per-slot loop would (bulk utilization, counters at ``_finish``) and
+    ticks per slot by itself when a probe is attached.
+
     With ``engine`` set the run dispatches through
-    :meth:`CFMemory.run_engine` instead of the per-slot issue loop, and
-    runs *unobserved* (no metrics registry — observers pin the reference
-    path, which would make an engine comparison vacuous); reissues are
-    callback-driven, so the workload is identical across engines.
+    :meth:`CFMemory.run_engine` instead and runs *unobserved* (no metrics
+    registry — the numpy engines eject observed modules onto
+    ``run_batch``, which would make an engine comparison vacuous);
+    reissues are callback-driven, so the workload is identical across
+    engines.
     """
     from repro.core.cfm import AccessState
     from repro.fastpath.engine import resolve_engine
@@ -174,12 +182,17 @@ def _run_cfm(n_procs: int, bank_cycle: int, cycles: int,
         else:
             summary.retries += acc.restarts or 1
 
-    for _ in range(cycles):
+    n_banks = cfg.n_banks
+    while mem.slot < cycles:
         for p in range(n_procs):
             if not outstanding[p]:
                 mem.issue(p, AccessKind.READ, offset=p % 4, on_finish=finished)
                 outstanding[p] = True
-        mem.tick()
+        # Run to the next completion: the slot after it is the next slot
+        # whose top issues anything.
+        next_done = min(mem.slot + n_banks - acc.words_done - 1
+                        for acc in mem.active)
+        mem.run_batch(min(next_done + 1, cycles) - mem.slot)
     summary.cycles = cycles
     return _run_report("cfm", params, summary, metrics, "cfm.bank")
 
@@ -314,7 +327,8 @@ def _run_cache(n_procs: int, rounds: int, seed: int = 0,
     additionally attaches a :class:`HotpathProfiler` and exports its
     counters under ``"hotpath"``.  With ``engine`` set the op stream runs
     through :meth:`CacheSystem.run_ops_engine` *unobserved* (no metrics —
-    they would pin the reference path and make the comparison vacuous).
+    the vectorized planner hands observed spans to the batch walk, so an
+    observed engine comparison would be vacuous).
     """
     from repro.cache.protocol import CacheSystem
     from repro.obs.hotpath import HotpathProfiler
@@ -323,9 +337,9 @@ def _run_cache(n_procs: int, rounds: int, seed: int = 0,
 
     if workload not in ("mix", "private"):
         raise ValueError(f"unknown cache workload {workload!r}")
-    # Metrics pin every slot to the per-slot reference path (tick.observed)
-    # — with the profiler attached the registry stays off, so the batch
-    # path actually runs and there is something to profile.
+    # The registry rides the batch path (bulk utilization, counters at
+    # completion); it stays off under the profiler and engine pins so
+    # those reports keep their registry-free shape.
     metrics = MetricsRegistry()
     hotpath = HotpathProfiler() if profile else None
     sys_ = CacheSystem(n_procs, probe=probe,
@@ -450,7 +464,7 @@ def _run_hierarchy(n_clusters: int, procs_per_cluster: int, rounds: int,
     report = _run_report("hierarchy", params, summary, metrics, "cfm.bank")
     # A block access occupies every bank of its cluster CFM for exactly
     # one slot, so memory-op counts ARE per-bank busy slots — utilization
-    # without attaching a registry (which would pin the per-slot path).
+    # without a registry (the hierarchy carries none).
     util: Dict[str, float] = {}
     if hier.slot:
         for c, cs in enumerate(hier.clusters):

@@ -23,8 +23,8 @@ Counter naming convention, within a layer:
     Expected per-slot work: ``tick.cpu`` (a processor-side event — issue,
     local hit, write-back queue — is due this slot), ``tick.nc`` (a
     hierarchy network controller is mid-transaction), ``tick.observed``
-    (a probe or metrics registry pins the per-slot path), ``tick.sync``
-    (generic per-slot step).
+    (a probe pins the per-slot path; a metrics registry does not),
+    ``tick.sync`` (generic per-slot step).
 ``fallback.<reason>``
     Slow-path *fallbacks* — slots the classifier wanted to batch but
     could not prove safe: ``fallback.hazard`` (cross-op coherence overlap:

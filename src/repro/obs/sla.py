@@ -5,8 +5,8 @@
 deadline hits/misses, then snapshots the lot — mean, p50, p99, p99.9,
 min/max, and the miss counters — as one JSON-able dict.  It is
 deliberately *not* a :class:`repro.obs.MetricsRegistry` instrument:
-attaching a registry to a simulation pins the per-slot reference path
-(observability is defined per slot), while SLA accounting happens at
+attaching a registry sends the numpy engines back to the batch engine
+(only it accumulates bank utilization), while SLA accounting happens at
 completion time and is fed by ``on_finish`` callbacks — so the QoS
 bench can run engine-pinned, unobserved simulations and still report
 exact tail percentiles.

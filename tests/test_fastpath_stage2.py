@@ -140,7 +140,7 @@ def _drive(run, slot_of, shape, ops, prior):
 
 
 def _run_cache_plan(n_procs, bank_cycle, plan, batch, probe=None,
-                    metrics=None, hotpath=None, shape=None):
+                    metrics=None, hotpath=None, shape=None, vector=False):
     sys_ = CacheSystem(n_procs, bank_cycle=bank_cycle, probe=probe,
                        metrics=metrics, hotpath=hotpath)
     all_ops = []
@@ -155,7 +155,8 @@ def _run_cache_plan(n_procs, bank_cycle, plan, batch, probe=None,
                 ops.append(sys_.acquire(p, off))
             else:
                 ops.append(sys_.flush(p, off))
-        _drive(sys_.run_ops_batch if batch else sys_.run_ops,
+        run = sys_.run_ops_batch if batch else sys_.run_ops
+        _drive(sys_.run_ops_vector if vector else run,
                lambda: sys_.slot, shape, ops, all_ops)
         all_ops.extend(ops)
     sys_.check_coherence_invariant()
@@ -230,6 +231,34 @@ def test_cache_batch_with_probe_matches_unprobed():
     assert _fingerprint(ref_sys, ref_ops) == _fingerprint(bat_sys, bat_ops)
     assert [(e.source, e.event, e.t) for e in ref_probe.events] == \
            [(e.source, e.event, e.t) for e in bat_probe.events]
+
+
+@pytest.mark.parametrize("workload", sorted(PLANS))
+@pytest.mark.parametrize("n_procs,bank_cycle", SHAPES)
+def test_cache_observed_batch_matches_reference(workload, n_procs,
+                                                bank_cycle):
+    """A metered cache stays on the batch path — bank utilization
+    accumulates in bulk over spans and idle leaps — and its registry
+    snapshot equals the per-slot reference's; the vectorized engine hands
+    metered spans to the same walk."""
+    plan = PLANS[workload](n_procs, rounds=6, seed=n_procs * 10 + bank_cycle)
+    ref_reg, bat_reg, hp = MetricsRegistry(), MetricsRegistry(), \
+        HotpathProfiler()
+    ref = _run_cache_plan(n_procs, bank_cycle, plan, batch=False,
+                          metrics=ref_reg)
+    bat = _run_cache_plan(n_procs, bank_cycle, plan, batch=True,
+                          metrics=bat_reg, hotpath=hp)
+    assert _fingerprint(*ref) == _fingerprint(*bat)
+    assert ref_reg.snapshot() == bat_reg.snapshot()
+    vec_reg = MetricsRegistry()
+    vec = _run_cache_plan(n_procs, bank_cycle, plan, batch=True,
+                          metrics=vec_reg, vector=True)
+    assert _fingerprint(*ref) == _fingerprint(*vec)
+    assert ref_reg.snapshot() == vec_reg.snapshot()
+    events = hp.snapshot()["cache"]
+    assert "tick.observed" not in events
+    assert events.get("batched_slots", 0) + \
+        events.get("skipped_slots", 0) > 0
 
 
 def test_cache_batch_with_metrics_matches_bare():

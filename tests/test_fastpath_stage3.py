@@ -31,6 +31,7 @@ from pathlib import Path
 import pytest
 
 from repro.cache.protocol import CacheSystem
+from repro.core.block import Block
 from repro.core.cfm import AccessKind, CFMemory
 from repro.core.config import CFMConfig
 from repro.faults.chaos import (
@@ -62,6 +63,7 @@ from repro.fastpath.tables import (
 from repro.hierarchy.slot_accurate import SlotAccurateHierarchy
 from repro.obs.hotpath import HotpathProfiler
 from repro.obs.metrics import MetricsRegistry
+from repro.obs.probe import RecordingProbe
 from repro.sim.engine import SimulationTimeout
 
 np = pytest.importorskip("numpy")
@@ -345,11 +347,139 @@ def _metered_cfm(engine):
 
 
 def test_cfm_metrics_snapshot_identical_across_engines():
-    """Observers pin the reference path inside every engine, so attached
-    metrics must see the identical event stream regardless of strategy."""
+    """Metrics never change the result and every engine feeds them alike:
+    the reference ticks, the batch engine accumulates bank utilization in
+    bulk, and the numpy engines eject a metered module onto the batch
+    engine — so the snapshot is identical regardless of strategy."""
     prints = [_metered_cfm(engine) for engine in CFM_ENGINES]
     assert all(p == prints[0] for p in prints)
     assert prints[0][2]  # the registry really was fed
+
+
+# --------------------------------------------------------------------------
+# Observed run_batch == per-slot run (metrics ride the batch engine)
+
+#: (n_procs, bank_cycle): degenerate one- and two-bank machines, c = n,
+#: non-power-of-two shapes, and the Table 3.3 shapes.
+OBSERVED_SHAPES = [(1, 1), (2, 1), (3, 2), (4, 4), (8, 2), (16, 4), (32, 8),
+                   (5, 3)]
+
+
+def _drive_reissue(mem, advance, cycles, shared):
+    """Re-issue from the finish callback; every third re-issue is a write.
+
+    Private offsets keep the batch engine hazard-free; ``shared`` puts
+    every processor on offset 0, so a write meets a same-offset access and
+    forces per-slot ticks mid-run.  The window is advanced in uneven
+    chunks, so spans start and end mid-access and mid-hold-window."""
+    n_banks = mem.cfg.n_banks
+    counts = [0] * mem.cfg.n_procs
+
+    def reissue(acc):
+        p = acc.proc
+        counts[p] += 1
+        offset = 0 if shared else p
+        if counts[p] % 3 == 0:
+            data = Block.of_values([counts[p] * 100 + p] * n_banks)
+            mem.issue(p, AccessKind.WRITE, offset, data=data,
+                      version=f"P{p}.{counts[p]}", on_finish=reissue)
+        else:
+            mem.issue(p, AccessKind.READ, offset, on_finish=reissue)
+
+    for p in range(mem.cfg.n_procs):
+        mem.issue(p, AccessKind.READ, 0 if shared else p, on_finish=reissue)
+    chunks = (1, n_banks + 1, 2, 3 * n_banks - 1, 5)
+    k = 0
+    while mem.slot < cycles:
+        advance(min(chunks[k % len(chunks)], cycles - mem.slot))
+        k += 1
+
+
+def _drive_top_of_slot(mem, advance, cycles, shared):
+    """Issue at the top of a slot (the observed bench driver's semantics).
+
+    After each completion a processor rests ``(access_id + 2p) % 7`` slots
+    before re-issuing, and nobody issues in every third b-slot stretch, so
+    the in-flight accesses drain and the rest of the stretch is an idle
+    leap entered with bank hold windows still carried in."""
+    del shared
+    n_banks = mem.cfg.n_banks
+    n_procs = mem.cfg.n_procs
+    ready = [0] * n_procs
+    busy = [False] * n_procs
+
+    def finished(acc):
+        busy[acc.proc] = False
+        ready[acc.proc] = mem.slot + 1 + (acc.access_id + 2 * acc.proc) % 7
+
+    def next_issue(p, slot):
+        t = max(ready[p], slot)
+        if (t // n_banks) % 3 == 2:  # paused stretch: wait for its end
+            t = (t // n_banks + 1) * n_banks
+        return t
+
+    while mem.slot < cycles:
+        slot = mem.slot
+        for p in range(n_procs):
+            if not busy[p] and next_issue(p, slot) == slot:
+                mem.issue(p, AccessKind.READ, p % 3, on_finish=finished)
+                busy[p] = True
+        nxt = min([next_issue(p, slot) for p in range(n_procs)
+                   if not busy[p]]
+                  + [slot + n_banks - a.words_done for a in mem.active])
+        advance(min(nxt, cycles) - slot)
+
+
+OBSERVED_DRIVERS = {"reissue": _drive_reissue, "top": _drive_top_of_slot}
+
+
+def _observed_run(n_procs, bank_cycle, driver, cycles, batched, shared=False,
+                  probe=None):
+    reg = MetricsRegistry()
+    mem = CFMemory(CFMConfig(n_procs=n_procs, bank_cycle=bank_cycle),
+                   metrics=reg, probe=probe)
+    hp = mem.hotpath = HotpathProfiler()
+    OBSERVED_DRIVERS[driver](mem, mem.run_batch if batched else mem.run,
+                             cycles, shared)
+    stream = [(a.access_id, a.proc, a.kind.value, a.state.value,
+               a.issue_slot, a.complete_slot) for a in mem.completed]
+    state = (mem.slot, [sorted(bank.items()) for bank in mem.banks],
+             [(a.access_id, a.words_done) for a in mem.active])
+    return (stream, state, reg.snapshot()), hp.snapshot().get("cfm", {})
+
+
+@pytest.mark.parametrize("driver", sorted(OBSERVED_DRIVERS))
+@pytest.mark.parametrize("n_procs,bank_cycle", OBSERVED_SHAPES)
+def test_cfm_observed_batch_matches_per_slot(n_procs, bank_cycle, driver):
+    """An observed run_batch(n) leaves the registry snapshot, completion
+    stream and memory state of per-slot run(n) — and really batches."""
+    n_banks = n_procs * bank_cycle
+    # Window ends off any multiple of b, some inside a c > 1 hold window.
+    for cycles in (1, bank_cycle, 3 * n_banks + 1, 7 * n_banks - 2):
+        for shared in ((False, True) if driver == "reissue" else (False,)):
+            ref, _ = _observed_run(n_procs, bank_cycle, driver, cycles,
+                                   batched=False, shared=shared)
+            got, events = _observed_run(n_procs, bank_cycle, driver, cycles,
+                                        batched=True, shared=shared)
+            assert got == ref, (cycles, shared)
+            assert "tick.pinned" not in events
+            if cycles > 1:
+                assert events.get("batched_slots", 0) > 0, (cycles, events)
+            if shared and n_procs > 1 and cycles > 3 * n_banks:
+                assert events.get("fallback.hazard", 0) > 0
+    # A probe is still defined per slot: it pins every slot, and the
+    # snapshot and event stream stay those of the reference.
+    cycles = 3 * n_banks + 1
+    ref_probe, got_probe = RecordingProbe(), RecordingProbe()
+    ref, _ = _observed_run(n_procs, bank_cycle, driver, cycles,
+                           batched=False, probe=ref_probe)
+    got, events = _observed_run(n_procs, bank_cycle, driver, cycles,
+                                batched=True, probe=got_probe)
+    assert got == ref
+    assert [(e.source, e.event, e.t) for e in got_probe.events] == \
+        [(e.source, e.event, e.t) for e in ref_probe.events]
+    assert events.get("tick.pinned") == cycles
+    assert "batched_slots" not in events
 
 
 # --------------------------------------------------------------------------

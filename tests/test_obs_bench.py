@@ -193,3 +193,28 @@ class TestBenchHarness:
         a = run_benchmark("quick")
         b = run_benchmark("quick")
         assert a == b
+
+    def test_observed_cfm_and_cache_reports_pinned(self):
+        """The observed runners' reports over a small shape x cycles x seed
+        grid hash to a pinned digest, recorded when both still advanced
+        one ``tick()`` per slot: however time is advanced, every report —
+        metrics snapshot and utilization included — stays byte-identical."""
+        import hashlib
+
+        from repro.obs.bench import _run_cache, _run_cfm
+
+        reports = []
+        for n_procs, bank_cycle in [(1, 1), (3, 2), (4, 1), (5, 3), (8, 2),
+                                    (16, 4)]:
+            for cycles in (1, 7, 50, 129):
+                reports.append(_run_cfm(n_procs, bank_cycle, cycles))
+        for n_procs in (2, 4, 8):
+            for rounds in (1, 3):
+                for seed in (0, 1):
+                    for workload in ("mix", "private"):
+                        reports.append(_run_cache(n_procs, rounds, seed=seed,
+                                                  workload=workload))
+        digest = hashlib.sha256(
+            json.dumps(reports, sort_keys=True).encode()).hexdigest()
+        assert digest == (
+            "e3ce9f9c285af1fa98e2191dc55b054f5b32d8bdcbab521bedee8239a708c531")
