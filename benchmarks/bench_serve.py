@@ -114,13 +114,6 @@ def _cold_caches() -> None:
     tables.slot_bank_table.cache_clear()
     tables.bank_orders.cache_clear()
     tables.shift_permutations.cache_clear()
-    try:
-        from repro.fastpath import vector
-
-        vector.np_slot_bank_table.cache_clear()
-        vector.np_bank_orders.cache_clear()
-    except ImportError:
-        pass
 
 
 def measure_warm(payloads: List[Dict[str, object]],

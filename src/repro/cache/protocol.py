@@ -48,11 +48,7 @@ from repro.core.cfm import (
 from repro.core.config import CFMConfig
 from repro.cache.directory import CacheDirectory, CacheLine
 from repro.cache.state import CacheLineState
-from repro.fastpath.engine import (
-    ENGINE_BATCH,
-    ENGINE_REFERENCE,
-    resolve_engine,
-)
+from repro.fastpath.engine import ENGINE_REFERENCE, resolve_engine
 from repro.sim.engine import AllSettled, SimulationTimeout
 from repro.tracking.att import AddressTrackingTable
 
@@ -548,35 +544,24 @@ class CacheSystem:
         completion streams, directory/memory state, and stats to the
         per-slot reference.
         """
-        self._run_ops_fast(ops, max_slots, vector=False)
-
-    def run_ops_vector(self, ops: List[CpuOp], max_slots: int = 200_000) -> None:
-        """Drive ``ops`` to completion via the stage-3 vectorized engine.
-
-        Identical classification to :meth:`run_ops_batch` — same hazard
-        checks, same per-slot fallbacks — but interaction-free spans are
-        serviced by :func:`repro.fastpath.vector.advance_span` (the numpy
-        epoch planner) instead of the per-access Python walk.
-        """
-        self._run_ops_fast(ops, max_slots, vector=True)
+        self._run_ops_fast(ops, max_slots)
 
     def run_ops_engine(self, ops: List[CpuOp], max_slots: int = 200_000,
                        engine: Optional[str] = None) -> None:
         """Drive ``ops`` under the selected engine strategy.
 
-        ``engine`` overrides the instance default for this call only; all
-        strategies produce bit-identical observable results (invariant 10).
+        ``engine`` overrides the instance default for this call only:
+        ``reference`` runs :meth:`run_ops`, every other name the batched
+        epochs of :meth:`run_ops_batch`, so all strategies produce
+        bit-identical observable results (invariant 10).
         """
         name = resolve_engine(engine, default=self.engine, layer="cache")
         if name == ENGINE_REFERENCE:
             self.run_ops(ops, max_slots)
-        elif name == ENGINE_BATCH:
-            self.run_ops_batch(ops, max_slots)
         else:
-            self.run_ops_vector(ops, max_slots)
+            self._run_ops_fast(ops, max_slots)
 
-    def _run_ops_fast(self, ops: List[CpuOp], max_slots: int,
-                      vector: bool) -> None:
+    def _run_ops_fast(self, ops: List[CpuOp], max_slots: int) -> None:
         start = self.slot
         limit = start + max_slots  # strict bound: no epoch may reach it
         hp = self.hotpath
@@ -586,16 +571,16 @@ class CacheSystem:
             while not settled():
                 if self.slot - start >= max_slots:
                     self._raise_timeout(max_slots)
-                self._batch_step(limit, vector)
+                self._batch_step(limit)
         finally:
             if hp is not None:
                 hp.release(token)
 
-    def _batch_step(self, limit: int = _FAR, vector: bool = False) -> None:
+    def _batch_step(self, limit: int = _FAR) -> None:
         """Advance one epoch: a batch span, or one reference tick.
 
         ``limit`` is the first slot the epoch must not reach (the caller's
-        timeout boundary); ``vector`` selects the numpy span walk."""
+        timeout boundary)."""
         hp = self.hotpath
         if self.faults is not None and self.faults.active:
             # Live fault injection is defined per-slot (fault windows,
@@ -655,13 +640,6 @@ class CacheSystem:
                 if hp is not None:
                     hp.count("cache", "fallback.hazard")
                 self.tick()
-                return
-            if vector:
-                from repro.fastpath.vector import advance_span
-
-                if hp is not None:
-                    hp.count("cache", "vector.batched_slots", target - slot + 1)
-                advance_span(self.mem, target)
                 return
             if hp is not None:
                 hp.count("cache", "batched_slots", target - slot + 1)

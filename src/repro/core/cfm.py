@@ -37,12 +37,7 @@ from typing import Callable, Dict, List, Optional
 
 from repro.core.block import Block, Word
 from repro.core.config import CFMConfig
-from repro.fastpath.engine import (
-    ENGINE_BATCH,
-    ENGINE_REFERENCE,
-    ENGINE_STACKED,
-    resolve_engine,
-)
+from repro.fastpath.engine import ENGINE_REFERENCE, resolve_engine
 from repro.fastpath.tables import bank_orders, slot_bank_table
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.probe import Probe
@@ -267,10 +262,13 @@ class CFMemory:
         self.engine = resolve_engine(engine, layer="cfm")
         self.slot = 0
         self._next_id = 0
-        # Monotone write counter: bumped on every write_word so the
-        # vectorized engine can detect stores made behind its back (finish
-        # callbacks poking blocks) and drop its memoized reads.
+        # Monotone write counter: bumped by write_word and by every write
+        # the span walk performs — the only two places that store into
+        # ``banks`` — so _advance_span can tell when its whole-block read
+        # memo (offset -> {bank: Word}, built at _memo_stamp) went stale.
         self._write_stamp = 0
+        self._read_memo: Dict[int, Dict[int, Word]] = {}
+        self._memo_stamp = 0
         # The whole AT-space schedule, precomputed once per (b, c) shape:
         # _table[slot % b][proc] is the bank proc addresses at that slot,
         # _orders[first] the wrap-around visit sequence from bank `first`.
@@ -514,12 +512,13 @@ class CFMemory:
 
     def _finish(self, acc: BlockAccess, state: AccessState, slot: int,
                 unlink: bool = True) -> None:
-        # ``unlink=False`` is the stacked engine's bulk-unlink protocol:
-        # the caller has already removed every finisher from ``active`` in
-        # one identity-filter pass instead of one list.remove per finisher
-        # (each an O(n) identity scan past the already-reissued accesses).
-        # Everything else here is unchanged, so completion order,
-        # complete_slot, observers, and callbacks stay bit-identical.
+        # ``unlink=False`` is the span walk's bulk-unlink protocol: the
+        # caller (_advance_span) has already removed every finisher from
+        # ``active`` in one identity-filter pass instead of one list.remove
+        # per finisher (each an O(n) identity scan past the already-
+        # reissued accesses).  Everything else here is unchanged, so
+        # completion order, complete_slot, observers, and callbacks stay
+        # bit-identical.
         acc.state = state
         if unlink:
             self.active.remove(acc)
@@ -795,17 +794,21 @@ class CFMemory:
         * **per-access batching** — an undisturbed access is a straight
           walk along a precomputed bank order, so every active access is
           run forward to the earliest completion slot in one tight loop
-          (:meth:`_advance_span`);
+          (:meth:`_advance_span`, which also serves whole-block reads from
+          its per-offset memo);
         * **completion-slot scheduling** — finish callbacks fire exactly
           at their slot-accurate times, in processor order, so chained
           re-issues land on the same slots as under :meth:`tick`.
 
+        This is the one span walk behind every engine name but
+        ``reference`` (see :meth:`run_engine`).
+
         Conflict checks: the batched path performs no per-visit check.
         Conflict-freedom there rests on the construction-time proof that
         every row of ``slot_bank_table`` is injective plus the
-        one-access-per-processor check in :meth:`issue` — the same
-        contract as the numpy engines.  Any per-slot fallback runs
-        :meth:`tick`, which still raises :class:`ConflictError`.
+        one-access-per-processor check in :meth:`issue`.  Any per-slot
+        fallback runs :meth:`tick`, which still raises
+        :class:`ConflictError`.
 
         An attached metrics registry stays on this path and sees exactly
         what :meth:`tick` would feed it; a probe pins every slot to
@@ -867,9 +870,10 @@ class CFMemory:
     def _advance_span(self, target: int) -> int:
         """Run every active access forward through slot ``target``.
 
-        The batch engine's span walk, shared with the coherence layer's
-        epochs: each access is a straight walk along its precomputed bank
-        order (consecutive slots visit consecutive banks), so the span is
+        The one span walk behind :meth:`run_batch`, every engine name but
+        ``reference``, and the coherence and hierarchy layers' epochs:
+        each access is a straight walk along its precomputed bank order
+        (consecutive slots visit consecutive banks), so the span is
         serviced per access instead of per slot.  The caller guarantees
         the span is batchable (no hook, fault or write interleaving can
         act in it) and that no access performs its last word before
@@ -877,6 +881,25 @@ class CFMemory:
         words and completions all land at ``target``, firing in processor
         order with ``slot`` set the way :meth:`tick` would.  With nothing
         active this is an idle leap.
+
+        **Whole-block read memo.**  A read that performs all b words in
+        this one span returns one word from every bank (§3.1), so its
+        result is the same dict for every such read of the offset until a
+        bank is written.  ``_read_memo`` maps offset to that dict, and the
+        read is handed the memo dict itself — shared, not copied.  The
+        memo is valid while ``_write_stamp`` is unchanged since it was
+        built: :meth:`write_word` and the write branch below (the only
+        stores into ``banks``) bump the stamp, and a stale memo is dropped
+        at the next full span.  Within one span no write can meet a read
+        of its offset — the caller's hazard proof — so entries stay exact
+        for the whole walk.  Only accesses that complete in the span get a
+        memo dict: a completed access's ``result_words`` is never mutated
+        (``result`` and :meth:`BlockAccess.visited_bank_zero` only read
+        it), while an access still in flight may yet be restarted or
+        extended.
+
+        Finishers are unlinked from ``active`` in one identity-filter
+        pass and finished with ``_finish(..., unlink=False)``.
 
         Returns the number of completions fired, so callers batching
         above this layer know whether their cached classification is
@@ -895,6 +918,10 @@ class CFMemory:
         row = self._table[slot % n_banks]
         span = target - slot + 1
         full = span == n_banks  # implies words_done == 0 for everyone
+        memo = self._read_memo
+        if full and self._memo_stamp != self._write_stamp:
+            memo.clear()
+            self._memo_stamp = self._write_stamp
         finishers: List[BlockAccess] = []
         # active cannot mutate inside this loop (callbacks only fire from
         # _finish below), so no snapshot copy is needed.
@@ -916,13 +943,17 @@ class CFMemory:
                 for bank in (order if full else order[:span]):
                     banks[bank][offset] = Word(words[bank].value, version)
                     written.append(bank)
+                self._write_stamp += 1
             elif full:
-                # Whole access in one round: build the result dict in a
-                # single comprehension (the steady-state case).
-                acc.result_words = {
-                    bank: banks[bank].get(offset, _INIT_WORD)
-                    for bank in order
-                }
+                # Whole access in one round (the steady-state case): the
+                # shared memo dict, built on the first read of the offset.
+                cached = memo.get(offset)
+                if cached is None:
+                    cached = memo[offset] = {
+                        bank: banks[bank].get(offset, _INIT_WORD)
+                        for bank in order
+                    }
+                acc.result_words = cached
             else:
                 results = acc.result_words
                 for bank in order[:span]:
@@ -930,11 +961,17 @@ class CFMemory:
             acc.words_done += span
             if acc.words_done == n_banks:
                 finishers.append(acc)
+        if finishers:
+            if len(finishers) == len(active):
+                active.clear()
+            else:
+                done = {id(a) for a in finishers}
+                active[:] = [a for a in active if id(a) not in done]
         # Completions observe the slot they finish in, exactly as under
         # tick(); re-issues from callbacks join at target + 1.
         self.slot = target
         for acc in finishers:
-            self._finish(acc, AccessState.COMPLETED, target)
+            self._finish(acc, AccessState.COMPLETED, target, unlink=False)
         self.slot = target + 1
         return len(finishers)
 
@@ -994,37 +1031,20 @@ class CFMemory:
             u.total += span
             u.busy += busy[k] + c * visits
 
-    def run_vector(self, slots: int) -> None:
-        """Advance ``slots`` slots via the stage-3 numpy epoch engine.
-
-        Results are bit-identical to :meth:`run` and :meth:`run_batch`;
-        any hazard hands the remaining window to :meth:`run_batch` (see
-        :mod:`repro.fastpath.vector`).
-        """
-        from repro.fastpath.vector import run_vector
-
-        run_vector(self, slots)
-
     def run_engine(self, slots: int, engine: Optional[str] = None) -> None:
         """Advance ``slots`` slots under the selected engine strategy.
 
-        ``engine`` overrides the instance default for this call only; all
-        strategies produce bit-identical observable results (invariants
-        10 and 11).  ``stacked`` on a single module is the width-1 stack
-        — the same lockstep driver ``repro.fastpath.stack.run_stack``
-        runs across modules.
+        ``engine`` overrides the instance default for this call only.
+        ``reference`` ticks slot by slot; every other name (``batch``,
+        ``vectorized``, ``stacked``) is a valid selector for the one span
+        walk, :meth:`run_batch` — so all strategies produce bit-identical
+        observable results (invariants 10 and 11) by construction.
         """
         name = resolve_engine(engine, default=self.engine, layer="cfm")
         if name == ENGINE_REFERENCE:
             self.run(slots)
-        elif name == ENGINE_BATCH:
-            self.run_batch(slots)
-        elif name == ENGINE_STACKED:
-            from repro.fastpath.stack import run_stack
-
-            run_stack([self], slots)
         else:
-            self.run_vector(slots)
+            self.run_batch(slots)
 
     def run_until_idle(self, max_slots: int = 100_000) -> int:
         """Tick until no access is active; returns slots elapsed.

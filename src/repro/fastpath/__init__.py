@@ -11,12 +11,13 @@ themselves (:meth:`repro.core.cfm.CFMemory.run_batch`,
 :meth:`repro.sim.engine.Engine.run_batch`).
 
 Stage 3 adds the engine-strategy seam: :mod:`repro.fastpath.engine`
-names the interchangeable strategies (``reference`` / ``batch`` /
-``vectorized`` / ``stacked``) every batched layer dispatches through,
-and :mod:`repro.fastpath.vector` implements the vectorized one — whole
-epochs planned as numpy gathers over the same tables.  Stage 4 adds
-:mod:`repro.fastpath.stack`: S independent same-shape CFM runs advanced
-in lockstep as one stacked numpy computation.
+names the strategies (``reference`` / ``batch`` / ``vectorized`` /
+``stacked``) every batched layer dispatches through.  Every name but
+``reference`` selects the one span walk,
+:meth:`repro.core.cfm.CFMemory._advance_span`, with its whole-block read
+memo.  Stage 4 adds :mod:`repro.fastpath.stack`: fleets of independent
+same-shape CFM runs grouped into one stacked execution for the sweep and
+the serving layer.
 
 Every fast path is differentially tested against the slot-by-slot
 reference path for bit-identical traces, metrics, and bench payloads
@@ -34,7 +35,6 @@ from repro.fastpath.engine import (
     engine_available,
     resolve_engine,
     supported_layers,
-    vector_available,
 )
 from repro.fastpath.parallel import derive_seed, map_specs, sweep
 from repro.fastpath.tables import (
@@ -64,6 +64,5 @@ __all__ = [
     "shift_permutations",
     "slot_bank_table",
     "sweep",
-    "vector_available",
     "warm_tables",
 ]

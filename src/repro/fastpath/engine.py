@@ -3,26 +3,22 @@
 Each batched layer (:class:`repro.core.cfm.CFMemory`,
 :class:`repro.cache.protocol.CacheSystem`,
 :class:`repro.hierarchy.slot_accurate.SlotAccurateHierarchy`) can advance
-time several ways, all bit-identical on their observable results:
+time two ways, bit-identical on their observable results:
 
 ``reference``
     The per-slot tick loop — the paper's semantics, one slot at a time.
     Always available, always correct, the differential oracle.
 ``batch``
-    The stage-2 epoch batcher: prove a span interaction-free, replay it
-    in one pass over the precomputed bank orders (the default).
-``vectorized``
-    The stage-3 numpy epoch engine (:mod:`repro.fastpath.vector`): the
-    whole epoch plan — completion slots, bank occupancy, membership
-    windows — computed as array gathers, falling back to ``batch`` the
-    moment a hazard (same-offset write interleaving, an active fault
-    plan, a degraded bank, any observer) breaks the static proof.
-``stacked``
-    The stage-4 cross-run engine (:mod:`repro.fastpath.stack`): S
-    independent same-shape simulations advanced in lockstep as one
-    stacked numpy computation, each run individually ejected onto its
-    own ``run_batch`` path the moment its static proof breaks.  CFM
-    only — the other layers report a typed error (below).
+    The span walk (:meth:`repro.core.cfm.CFMemory._advance_span`): prove
+    a span interaction-free, replay it in one pass over the precomputed
+    bank orders, serving whole-block reads from a per-offset memo, and
+    tick per slot wherever the proof breaks (the default).
+``vectorized``, ``stacked``
+    Valid selectors for the same span walk, kept because bench specs,
+    serve requests and reports name them.  ``stacked`` additionally marks
+    a CFM spec as groupable into a stacked sweep unit or serve lane
+    (:mod:`repro.fastpath.stack`); it is CFM only — the other layers
+    report a typed error (below).
 
 Layers accept an ``engine=`` constructor argument and expose a
 ``run_*_engine`` dispatcher; ``repro bench --engine=`` threads the choice
@@ -44,9 +40,8 @@ ENGINE_BATCH = "batch"
 ENGINE_VECTORIZED = "vectorized"
 ENGINE_STACKED = "stacked"
 
-#: Every selectable engine strategy, in fallback order (stacked ejects
-#: runs to batch, vectorized falls back to batch, batch falls back to
-#: reference ticks).
+#: Every selectable engine strategy.  All but ``reference`` select the one
+#: span walk, whose only fallback is reference ticks.
 ENGINES: Tuple[str, ...] = (
     ENGINE_REFERENCE, ENGINE_BATCH, ENGINE_VECTORIZED, ENGINE_STACKED,
 )
@@ -59,20 +54,11 @@ DEFAULT_ENGINE = ENGINE_BATCH
 ENGINE_LAYERS: Tuple[str, ...] = ("cfm", "cache", "hierarchy")
 
 #: Which layers each engine supports.  Engines absent from this map run
-#: on every seam layer; ``stacked`` plans across whole CFM runs and (for
-#: now) has no cache/hierarchy stacking story.
+#: on every seam layer; ``stacked`` groups whole CFM runs and (for now)
+#: has no cache/hierarchy stacking story.
 ENGINE_LAYER_SUPPORT = {
     ENGINE_STACKED: ("cfm",),
 }
-
-
-def vector_available() -> bool:
-    """Is the vectorized engine usable (numpy importable) in this process?"""
-    try:
-        import numpy  # noqa: F401
-    except ImportError:  # pragma: no cover - numpy ships with the repo deps
-        return False
-    return True
 
 
 def supported_layers(name: str) -> Tuple[str, ...]:
@@ -81,17 +67,9 @@ def supported_layers(name: str) -> Tuple[str, ...]:
 
 
 def engine_available(name: str, layer: str) -> bool:
-    """May ``layer`` dispatch through engine ``name`` in this process?
-
-    Combines the per-layer support table with the numpy gate (both the
-    vectorized and the stacked engine plan in numpy)."""
-    if name not in ENGINES:
-        return False
-    if layer not in supported_layers(name):
-        return False
-    if name in (ENGINE_VECTORIZED, ENGINE_STACKED) and not vector_available():
-        return False
-    return True
+    """May ``layer`` dispatch through engine ``name``?  (A known engine
+    the per-layer support table allows.)"""
+    return name in ENGINES and layer in supported_layers(name)
 
 
 def resolve_engine(name: Optional[str],
@@ -101,24 +79,18 @@ def resolve_engine(name: Optional[str],
                    ) -> str:
     """Validate an engine name; ``None`` resolves to ``default``.
 
-    Raises ``ValueError`` for unknown names, for the numpy engines when
-    numpy is not importable, and — when ``layer`` is given — for engines
-    that layer cannot drive, naming the layers that can.  ``available``
-    overrides the per-layer predicate (``(engine, layer) -> bool``) for
-    custom seams; the error text still names the registry's supported
-    layers.  The engines never degrade silently to a different strategy
-    than the one asked for.
+    Raises ``ValueError`` for unknown names and — when ``layer`` is
+    given — for engines that layer cannot drive, naming the layers that
+    can.  ``available`` overrides the per-layer predicate (``(engine,
+    layer) -> bool``) for custom seams; the error text still names the
+    registry's supported layers.  An unknown or unsupported name is never
+    silently replaced by another.
     """
     if name is None:
         name = default
     if name not in ENGINES:
         raise ValueError(
             f"unknown engine {name!r} (valid: {' '.join(ENGINES)})"
-        )
-    if name in (ENGINE_VECTORIZED, ENGINE_STACKED) and not vector_available():
-        raise ValueError(
-            f"{name} engine requires numpy, which is not importable; "
-            "use 'batch' or 'reference'"
         )
     if layer is not None:
         ok = (available(name, layer) if available is not None

@@ -145,10 +145,9 @@ def _run_cfm(n_procs: int, bank_cycle: int, cycles: int,
 
     With ``engine`` set the run dispatches through
     :meth:`CFMemory.run_engine` instead and runs *unobserved* (no metrics
-    registry — the numpy engines eject observed modules onto
-    ``run_batch``, which would make an engine comparison vacuous);
-    reissues are callback-driven, so the workload is identical across
-    engines.
+    registry, so the engine-pinned report keeps its registry-free shape
+    and is the same under every engine name); reissues are
+    callback-driven, so the workload is identical across engines.
     """
     from repro.core.cfm import AccessState
     from repro.fastpath.engine import resolve_engine
@@ -326,9 +325,8 @@ def _run_cache(n_procs: int, rounds: int, seed: int = 0,
     bit-identical to the per-slot reference either way; ``profile=True``
     additionally attaches a :class:`HotpathProfiler` and exports its
     counters under ``"hotpath"``.  With ``engine`` set the op stream runs
-    through :meth:`CacheSystem.run_ops_engine` *unobserved* (no metrics —
-    the vectorized planner hands observed spans to the batch walk, so an
-    observed engine comparison would be vacuous).
+    through :meth:`CacheSystem.run_ops_engine` *unobserved* (no metrics,
+    so the engine-pinned report keeps its registry-free shape).
     """
     from repro.cache.protocol import CacheSystem
     from repro.obs.hotpath import HotpathProfiler

@@ -33,21 +33,6 @@ Counter naming convention, within a layer:
     stall`` (nothing can ever happen; the timeout guard's territory).
     A conflict-free workload must keep every ``fallback.*`` counter at
     zero — CI's bench-profile job asserts exactly that.
-``vector.<name>``
-    Stage-3 vectorized-engine counters: ``vector.batched_slots`` (slots
-    advanced via a numpy-planned epoch — slot-denominated, pooled with
-    ``batched_slots`` in :meth:`HotpathProfiler.occupancy`) and
-    ``vector.fallbacks`` (times the vectorized driver handed a window to
-    the batch engine — an *auxiliary* event count, NOT slot-denominated:
-    the handed-off slots are counted by the batch engine's own counters,
-    so per-layer slot sums must exclude ``vector.fallbacks``).
-``stack.<name>``
-    Stage-4 stacked-engine counters, same shape as ``vector.*``:
-    ``stack.batched_slots`` (slots a lane advanced via a stacked epoch —
-    slot-denominated, pooled with ``batched_slots`` in
-    :meth:`HotpathProfiler.occupancy`) and ``stack.fallbacks`` (lanes
-    *ejected* from a stack onto their own batch run — auxiliary, NOT
-    slot-denominated).
 """
 
 from __future__ import annotations
@@ -139,19 +124,13 @@ class HotpathProfiler:
         """Per-layer slot occupancy: how each layer's slots were advanced.
 
         ``ticked`` pools every ``tick.*`` and ``fallback.*`` slot (each of
-        those is exactly one reference-path slot); ``batched`` pools batch
-        spans from the stage-2, stage-3 vectorized, and stage-4 stacked
-        engines; ``batched_frac`` is the share of all advanced slots
-        covered by them.  ``vector.fallbacks`` / ``stack.fallbacks`` are
-        auxiliary (not slot-denominated) and deliberately excluded.
+        those is exactly one reference-path slot); ``batched`` counts span
+        walk slots; ``batched_frac`` is the share of all advanced slots
+        covered by batch spans and idle leaps.
         """
         out: Dict[str, Dict[str, float]] = {}
         for layer, events in sorted(self._counts.items()):
-            batched = (
-                events.get("batched_slots", 0)
-                + events.get("vector.batched_slots", 0)
-                + events.get("stack.batched_slots", 0)
-            )
+            batched = events.get("batched_slots", 0)
             skipped = events.get("skipped_slots", 0)
             ticked = sum(
                 n for event, n in events.items()

@@ -514,24 +514,21 @@ class TestEngineLayerResolution:
             assert set(supported_layers(name)) <= set(ENGINE_LAYERS)
 
     def test_engine_available_predicate(self):
-        from repro.fastpath.engine import engine_available, vector_available
+        from repro.fastpath.engine import engine_available
 
         assert engine_available("reference", "cache")
         assert engine_available("batch", "hierarchy")
         assert not engine_available("stacked", "cache")
         assert not engine_available("stacked", "hierarchy")
-        # The numpy gate composes with the layer table.
-        assert engine_available("stacked", "cfm") == vector_available()
-        assert engine_available("vectorized", "cfm") == vector_available()
+        assert engine_available("stacked", "cfm")
+        assert engine_available("vectorized", "cfm")
         # Unknown engines and unknown layers are simply unavailable.
         assert not engine_available("turbo", "cfm")
         assert not engine_available("stacked", "network")
 
     def test_resolve_engine_layer_mismatch_is_typed(self):
-        from repro.fastpath.engine import resolve_engine, vector_available
+        from repro.fastpath.engine import resolve_engine
 
-        if not vector_available():
-            pytest.skip("numpy required for the stacked engine")
         assert resolve_engine("stacked", layer="cfm") == "stacked"
         with pytest.raises(ValueError, match="supported layers: cfm"):
             resolve_engine("stacked", layer="cache")

@@ -14,6 +14,7 @@ never touch a ``fallback.*`` counter.
 """
 
 import random
+from functools import partial
 
 import pytest
 
@@ -109,6 +110,25 @@ def _plan_sync(n_procs, rounds, seed):
     return plan
 
 
+def _plan_handoff(n_procs, rounds, seed):
+    """Lines handed from processor to processor: in even rounds proc p
+    stores line p, in odd rounds proc p loads line p + 1, whose dirty
+    owner must write it back first.  Write-backs therefore land in memory
+    between spans that read the same line in full, so the written-back
+    data must reach every later read (the span walk's read memo must not
+    serve the pre-write-back block)."""
+    rng = random.Random(seed)
+    plan = []
+    for r in range(rounds):
+        if r % 2 == 0:
+            plan.append([(p, "store", p, {rng.randrange(n_procs): r * 10 + p})
+                         for p in range(n_procs)])
+        else:
+            plan.append([(p, "load", (p + 1) % n_procs, None)
+                         for p in range(n_procs)])
+    return plan
+
+
 def _edge_list(shape, ops, prior):
     """The list a driver is handed for one round: ``ops`` recast as one of
     the completion cursor's edge cases.  Ops join their processor's queue
@@ -155,9 +175,11 @@ def _run_cache_plan(n_procs, bank_cycle, plan, batch, probe=None,
                 ops.append(sys_.acquire(p, off))
             else:
                 ops.append(sys_.flush(p, off))
-        run = sys_.run_ops_batch if batch else sys_.run_ops
-        _drive(sys_.run_ops_vector if vector else run,
-               lambda: sys_.slot, shape, ops, all_ops)
+        if vector:
+            run = partial(sys_.run_ops_engine, engine="vectorized")
+        else:
+            run = sys_.run_ops_batch if batch else sys_.run_ops
+        _drive(run, lambda: sys_.slot, shape, ops, all_ops)
         all_ops.extend(ops)
     sys_.check_coherence_invariant()
     return sys_, all_ops
@@ -189,6 +211,7 @@ def _fingerprint(sys_, ops):
 
 
 PLANS = {
+    "handoff": _plan_handoff,
     "shared": _plan_shared,
     "private": _plan_private,
     "hit_heavy": _plan_hit_heavy,
@@ -239,8 +262,8 @@ def test_cache_observed_batch_matches_reference(workload, n_procs,
                                                 bank_cycle):
     """A metered cache stays on the batch path — bank utilization
     accumulates in bulk over spans and idle leaps — and its registry
-    snapshot equals the per-slot reference's; the vectorized engine hands
-    metered spans to the same walk."""
+    snapshot equals the per-slot reference's; the ``vectorized`` engine
+    name runs the same walk."""
     plan = PLANS[workload](n_procs, rounds=6, seed=n_procs * 10 + bank_cycle)
     ref_reg, bat_reg, hp = MetricsRegistry(), MetricsRegistry(), \
         HotpathProfiler()

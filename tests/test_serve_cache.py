@@ -139,20 +139,9 @@ class TestResultCacheLRU:
 # Service-level: hit ≡ fresh bit-identity, across engines
 
 
-def _engines():
-    engines = [None, "reference", "batch"]
-    try:
-        from repro.fastpath.engine import vector_available
-
-        if vector_available():
-            engines.append("vectorized")
-    except ImportError:
-        pass
-    return engines
-
-
 class TestCacheHitIdentity:
-    @pytest.mark.parametrize("engine", _engines())
+    @pytest.mark.parametrize("engine", [None, "reference", "batch",
+                                        "vectorized"])
     def test_hit_bit_identical_to_fresh_run(self, pool, engine):
         from repro.obs.bench import run_spec
 
