@@ -15,10 +15,8 @@ Three differential-equivalence-plus-speedup proofs, one per batched layer:
   :meth:`~SlotAccurateHierarchy.run_ops`, >= 2x.
 
 Stage 3 adds the vectorized-engine gate (reference vs vectorized, >= 10x
-on the large shapes) and stage 4 the stacked-engine gate (a stack of 16
-same-shape runs vs the same specs run sequentially on the reference
-engine, >= 30x at (64, 16)).  Every engine name but ``reference`` selects
-the same span walk, so both gates measure it against the per-slot path.
+on the large shapes).  Every engine name but ``reference`` selects the
+same span walk, so this one gate measures it against the per-slot path.
 
 Every repeat asserts the two paths bit-identical before timing counts.
 
@@ -65,16 +63,6 @@ HIER_ROUNDS = 40
 #: span walk's whole-block read memo gets exercised).
 VECTOR_SHAPES = [((64, 16), 4 * 64 * 16), ((128, 32), 3 * 128 * 32)]
 MIN_VECTOR_SPEEDUP = 10.0
-
-#: Stage 4: the stacked engine gate — a stack of STACK_WIDTH same-shape
-#: bench specs executed as one stacked run vs the same specs run
-#: sequentially on the per-slot reference engine.  30x is the floor the
-#: former pair of gates implied together (vectorized >= 10x reference,
-#: stack >= 3x sequential vectorized).
-STACK_SHAPE = (64, 16)
-STACK_SLOTS = 4 * 64 * 16
-STACK_WIDTH = 16
-MIN_STACK_SPEEDUP = 30.0
 
 
 def _full_load(mem: CFMemory, log: List[Tuple[int, int, int]]) -> None:
@@ -403,79 +391,6 @@ def measure_vector(repeats: int = 3):
     return rows
 
 
-# --------------------------------------------------------------------------
-# Stage 4: stacked runs vs sequential reference
-
-
-def _stack_spec(engine: str):
-    n_procs, bank_cycle = STACK_SHAPE
-    return {"system": "cfm",
-            "params": {"n_procs": n_procs, "bank_cycle": bank_cycle,
-                       "cycles": STACK_SLOTS, "engine": engine}}
-
-
-def _without_engine(report):
-    params = dict(report["params"])
-    params.pop("engine")
-    return dict(report, params=params)
-
-
-def measure_stack(repeats: int = 3):
-    """(sequential-reference s, stacked s, speedup) for a stack of
-    ``STACK_WIDTH`` identical ``STACK_SHAPE`` bench specs.
-
-    Bit-identity is asserted before any timing counts: the stacked
-    reports must equal per-spec serial :func:`repro.obs.bench.run_spec`
-    of the same specs (invariant 11), and the reference reports must
-    equal them but for the engine pin.  The timed comparison then runs
-    the same workload per path — ``STACK_WIDTH`` sequential runs on the
-    per-slot reference engine vs one stacked execution."""
-    from repro.fastpath.stack import run_specs_stacked
-    from repro.obs.bench import run_spec
-
-    ref_specs = [_stack_spec("reference") for _ in range(STACK_WIDTH)]
-    stack_specs = [_stack_spec("stacked") for _ in range(STACK_WIDTH)]
-    serial = [run_spec(spec) for spec in stack_specs]
-    stacked = run_specs_stacked(stack_specs)
-    assert serial == stacked, (
-        "stacked reports diverged from per-spec serial run_spec")
-    t_ref = t_stack = float("inf")
-    for _ in range(repeats):
-        gc.collect()
-        gc.disable()
-        t0 = time.perf_counter()
-        reference = [run_spec(spec) for spec in ref_specs]
-        tr = time.perf_counter() - t0
-        t0 = time.perf_counter()
-        run_specs_stacked(stack_specs)
-        tk = time.perf_counter() - t0
-        gc.enable()
-        assert [_without_engine(r) for r in reference] == \
-            [_without_engine(r) for r in stacked], (
-                "stacked reports diverged from the reference engine")
-        t_ref = min(t_ref, tr)
-        t_stack = min(t_stack, tk)
-    return t_ref, t_stack, t_ref / t_stack if t_stack > 0 else float("inf")
-
-
-def test_stack_engine_speedup():
-    from benchmarks._report import emit_table
-
-    t_ref, t_stack, speedup = measure_stack()
-    n_procs, bank_cycle = STACK_SHAPE
-    emit_table(
-        f"CFM stack-of-{STACK_WIDTH}: sequential reference vs stacked "
-        f"({STACK_SLOTS} slots each)",
-        ["shape (n, c)", "seq ref (s)", "stacked (s)", "speedup"],
-        [(f"({n_procs}, {bank_cycle})", f"{t_ref:.3f}", f"{t_stack:.3f}",
-          f"{speedup:.1f}x")],
-    )
-    assert speedup >= MIN_STACK_SPEEDUP, (
-        f"stacked engine only {speedup:.1f}x on a stack of {STACK_WIDTH} "
-        f"{STACK_SHAPE} runs, need >= {MIN_STACK_SPEEDUP}x"
-    )
-
-
 def test_vector_engine_speedup():
     from benchmarks._report import emit_table
 
@@ -507,8 +422,3 @@ if __name__ == "__main__":
     for (n, c), slots, t_ref, t_vec, speedup in measure_vector():
         print(f"vec   (n={n:3d}, c={c:2d})  ref  {t_ref:7.3f}s  "
               f"vec  {t_vec:7.3f}s  {speedup:5.1f}x  ({slots} slots)")
-    n, c = STACK_SHAPE
-    t_ref, t_stack, speedup = measure_stack()
-    print(f"stack (n={n:3d}, c={c:2d})  ref  {t_ref:7.3f}s  "
-          f"stk  {t_stack:7.3f}s  {speedup:5.1f}x  "
-          f"(width {STACK_WIDTH}, {STACK_SLOTS} slots)")

@@ -43,7 +43,7 @@ import pytest
 
 from repro.core.cfm import AccessKind, CFMemory
 from repro.core.config import CFMConfig
-from repro.fastpath.engine import ENGINES, engine_available
+from repro.fastpath.engine import ENGINES
 from repro.obs.bench import run_spec, specs_qos
 
 #: Shapes the zero-contention identity gate sweeps (Table 3.3 spread).
@@ -55,10 +55,6 @@ IDENTITY_SLOTS = 600
 CONTENDED_SPEC = {"system": "qos",
                   "params": {"n_procs": 8, "bank_cycle": 2, "cycles": 800,
                              "rate": 0.05, "bulk_rate": 0.05}}
-
-
-def _engines() -> List[str]:
-    return [e for e in ENGINES if engine_available(e, "cfm")]
 
 
 def _tag_of(proc: int) -> Optional[str]:
@@ -103,7 +99,7 @@ def check_zero_contention_identity(slots: int = IDENTITY_SLOTS) -> int:
     Returns the number of (shape, engine, policy) cells proven."""
     cells = 0
     for n_procs, bank_cycle in IDENTITY_SHAPES:
-        for engine in _engines():
+        for engine in ENGINES:
             log_issue, end_issue, _ = _closed_loop(
                 n_procs, bank_cycle, slots, engine,
                 tagged=False, arbitration="priority")
@@ -125,23 +121,22 @@ def check_zero_contention_identity(slots: int = IDENTITY_SLOTS) -> int:
 
 def check_contended_engine_identity() -> List[str]:
     """The overloaded qos spec is engine-invariant; returns engines run."""
-    engines = _engines()
     reports = []
-    for engine in engines:
+    for engine in ENGINES:
         spec = {"system": "qos",
                 "params": {**CONTENDED_SPEC["params"], "engine": engine}}
         report = run_spec(spec)
         report["params"].pop("engine", None)
         reports.append(report)
     baseline = run_spec(CONTENDED_SPEC)
-    for engine, report in zip(engines, reports):
+    for engine, report in zip(ENGINES, reports):
         assert report == baseline, (
             f"contended qos run diverged under engine={engine}"
         )
     assert baseline["qos"]["entry_queue"]["contended"] > 0, (
         "contended identity gate ran without contention — raise the rates"
     )
-    return engines
+    return list(ENGINES)
 
 
 def _crit_p99(report: Dict[str, object]) -> float:
@@ -203,7 +198,7 @@ def assert_separation(rows) -> None:
 
 @pytest.mark.parametrize("n_procs,bank_cycle", IDENTITY_SHAPES)
 def test_zero_contention_identity(n_procs, bank_cycle):
-    for engine in _engines():
+    for engine in ENGINES:
         log_issue, end_issue, _ = _closed_loop(
             n_procs, bank_cycle, 400, engine, tagged=False,
             arbitration="priority")

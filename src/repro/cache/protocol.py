@@ -342,9 +342,8 @@ class CacheSystem:
             n_procs=n_procs, bank_cycle=bank_cycle, word_width=word_width
         )
         #: Engine strategy used by :meth:`run_ops_engine` when none is
-        #: passed per call; validated here so a bad name fails early —
-        #: including engines this layer cannot drive (``stacked``).
-        self.engine = resolve_engine(engine, layer="cache")
+        #: passed per call; validated here so a bad name fails early.
+        self.engine = resolve_engine(engine)
         self.controller = _ProtocolController(self)
         # The shared probe/metrics flow down into the block-access engine,
         # so one registry sees both protocol ops and bank utilization.
@@ -555,7 +554,7 @@ class CacheSystem:
         epochs of :meth:`run_ops_batch`, so all strategies produce
         bit-identical observable results (invariant 10).
         """
-        name = resolve_engine(engine, default=self.engine, layer="cache")
+        name = resolve_engine(engine, default=self.engine)
         if name == ENGINE_REFERENCE:
             self.run_ops(ops, max_slots)
         else:

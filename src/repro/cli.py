@@ -395,9 +395,7 @@ def _cmd_bench(args) -> int:
         return _fail_unknown("bench", unknown[0], BENCHMARKS)
     status = 0
     for name in names:
-        if args.parallel > 1 or args.stack:
-            # --stack routes through the sweep runner even single-process:
-            # stacking is a property of the spec plan, not of the pool.
+        if args.parallel > 1:
             from repro.fastpath.parallel import sweep
 
             specs = benchmark_specs(name, quick=args.quick)
@@ -406,19 +404,13 @@ def _cmd_bench(args) -> int:
                     if spec["system"] in PROFILABLE_SYSTEMS:
                         spec["params"]["profile"] = True
             if args.engine is not None:
-                from repro.fastpath.engine import engine_available
-
-                # Mirror run_benchmark's pinning rule: only pin systems
-                # the engine can actually drive (``stacked`` is cfm-only).
+                # Mirror run_benchmark's pinning rule.
                 for spec in specs:
-                    if spec["system"] in ENGINE_SYSTEMS and engine_available(
-                        args.engine, spec["system"]
-                    ):
+                    if spec["system"] in ENGINE_SYSTEMS:
                         spec["params"]["engine"] = args.engine
             doc = sweep(
                 specs, jobs=args.parallel, name=name,
                 quick=args.quick or name == "quick", timing=args.timing,
-                stack=args.stack,
             )
         else:
             doc = run_benchmark(name, quick=args.quick, timing=args.timing,
@@ -593,15 +585,8 @@ def main(argv=None) -> int:
         "--engine", choices=["reference", "batch", "vectorized", "stacked"],
         default=None, metavar="ENGINE",
         help="engine strategy for runs that sit behind the engine seam "
-        "(cfm/cache/hierarchy): reference, batch, vectorized, or stacked "
-        "(cfm-only; other layers keep their defaults); results are "
-        "bit-identical across engines",
-    )
-    p_bench.add_argument(
-        "--stack", action="store_true",
-        help="execute engine-pinned same-shape cfm runs as stacked "
-        "cross-simulation units (combine with --engine stacked; reports "
-        "stay bit-identical to unstacked runs)",
+        "(cfm/cache/hierarchy): reference, batch, vectorized, or stacked; "
+        "results are bit-identical across engines",
     )
     p_serve = sub.add_parser(
         "serve",

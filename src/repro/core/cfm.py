@@ -107,7 +107,7 @@ class BlockAccess:
     per slot — the dominant record type of the slot-accurate simulators.
     ``eq=False``: an access is an identity, never a value — ``active``
     membership tests and ``remove`` compare by ``is``, and two field-equal
-    accesses (stacked lanes, re-issues) stay distinct.
+    accesses (re-issues, independent runs) stay distinct.
     """
 
     access_id: int
@@ -259,7 +259,7 @@ class CFMemory:
         self.check_conflicts = check_conflicts
         #: Engine strategy used by :meth:`run_engine` when none is passed
         #: per call; validated here so a bad name fails at construction.
-        self.engine = resolve_engine(engine, layer="cfm")
+        self.engine = resolve_engine(engine)
         self.slot = 0
         self._next_id = 0
         # Monotone write counter: bumped by write_word and by every write
@@ -813,6 +813,13 @@ class CFMemory:
         An attached metrics registry stays on this path and sees exactly
         what :meth:`tick` would feed it; a probe pins every slot to
         :meth:`tick` (counted as ``tick.pinned``).
+
+        Outside the contract: a finish callback that stores directly into
+        memory (:meth:`poke_block` / :meth:`write_word`) at an offset
+        another access reads on its last word in the same completion
+        slot.  :meth:`tick` lets that later-processed access see the new
+        word; this path does not (see :meth:`_advance_span`).  Timed
+        writes are accesses and never hit this.
         """
         if slots < 0:
             raise ValueError(f"slots must be >= 0, got {slots}")
@@ -900,6 +907,13 @@ class CFMemory:
 
         Finishers are unlinked from ``active`` in one identity-filter
         pass and finished with ``_finish(..., unlink=False)``.
+
+        Every access performs its words before any finish callback
+        fires, so a callback that pokes memory directly
+        (:meth:`poke_block`) cannot reach a read completing in the same
+        slot — under :meth:`tick` a later-processed read would see the
+        poked word on its last visit.  That case is outside the batch
+        contract (DESIGN.md, "Outside the batch contract").
 
         Returns the number of completions fired, so callers batching
         above this layer know whether their cached classification is
@@ -1040,7 +1054,7 @@ class CFMemory:
         walk, :meth:`run_batch` — so all strategies produce bit-identical
         observable results (invariants 10 and 11) by construction.
         """
-        name = resolve_engine(engine, default=self.engine, layer="cfm")
+        name = resolve_engine(engine, default=self.engine)
         if name == ENGINE_REFERENCE:
             self.run(slots)
         else:

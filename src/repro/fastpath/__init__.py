@@ -15,9 +15,8 @@ names the strategies (``reference`` / ``batch`` / ``vectorized`` /
 ``stacked``) every batched layer dispatches through.  Every name but
 ``reference`` selects the one span walk,
 :meth:`repro.core.cfm.CFMemory._advance_span`, with its whole-block read
-memo.  Stage 4 adds :mod:`repro.fastpath.stack`: fleets of independent
-same-shape CFM runs grouped into one stacked execution for the sweep and
-the serving layer.
+memo.  Stage 4 adds :mod:`repro.fastpath.stack`, the sweep's rule for
+grouping same-shape engine-pinned CFM specs into one stacked unit.
 
 Every fast path is differentially tested against the slot-by-slot
 reference path for bit-identical traces, metrics, and bench payloads
@@ -32,9 +31,7 @@ from repro.fastpath.engine import (
     ENGINE_STACKED,
     ENGINE_VECTORIZED,
     ENGINES,
-    engine_available,
     resolve_engine,
-    supported_layers,
 )
 from repro.fastpath.parallel import derive_seed, map_specs, sweep
 from repro.fastpath.tables import (
@@ -57,10 +54,8 @@ __all__ = [
     "assert_conflict_free",
     "bank_orders",
     "derive_seed",
-    "engine_available",
     "map_specs",
     "resolve_engine",
-    "supported_layers",
     "shift_permutations",
     "slot_bank_table",
     "sweep",

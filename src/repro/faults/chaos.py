@@ -25,6 +25,7 @@ from typing import Dict, List, Optional, Tuple
 from repro.core.block import Block
 from repro.core.cfm import AccessKind, CFMemory, PermissiveController
 from repro.core.config import CFMConfig
+from repro.fastpath.engine import ENGINES
 from repro.faults.errors import FaultError, NetworkFaultError
 from repro.faults.inject import FaultInjector
 from repro.faults.plan import FaultEvent, FaultPlan
@@ -191,21 +192,10 @@ def _hier_fingerprint(n_clusters: int, per: int, rounds: int, seed: int,
     return fingerprint_hier(hier, ops)
 
 
-def _engines(layer: str = "cfm") -> Tuple[str, ...]:
-    """Every engine strategy runnable on ``layer`` in this process.
-
-    Filters the registry through :func:`engine_available`: ``stacked``
-    only ever appears for the CFM layer."""
-    from repro.fastpath.engine import ENGINES, engine_available
-
-    return tuple(e for e in ENGINES if engine_available(e, layer))
-
-
 def differential_zero_fault(seed: int = 0) -> Dict[str, bool]:
     """Assert zero-plan bit-identity on every layer, across every engine.
 
-    Three-way check (reference / batch / vectorized) × (bare / zero-plan
-    injector attached): every combination must produce the identical full
+    Every engine name × (bare / zero-plan injector attached): every combination must produce the identical full
     state fingerprint.  Returns ``{"cfm": True, "cache": True,
     "hierarchy": True}`` on success; raises ``AssertionError`` naming the
     diverging layer otherwise.
@@ -213,20 +203,20 @@ def differential_zero_fault(seed: int = 0) -> Dict[str, bool]:
     out: Dict[str, bool] = {}
     cfm = [
         _cfm_fingerprint(8, 2, engine, zero)
-        for engine in _engines("cfm") for zero in (False, True)
+        for engine in ENGINES for zero in (False, True)
     ]
     assert all(f == cfm[0] for f in cfm), "cfm zero-fault differential diverged"
     out["cfm"] = True
     cache = [
         _cache_fingerprint(4, 3, seed, engine, zero)
-        for engine in _engines("cache") for zero in (False, True)
+        for engine in ENGINES for zero in (False, True)
     ]
     assert all(f == cache[0] for f in cache), \
         "cache zero-fault differential diverged"
     out["cache"] = True
     hier = [
         _hier_fingerprint(2, 2, 2, seed, engine, zero)
-        for engine in _engines("hierarchy") for zero in (False, True)
+        for engine in ENGINES for zero in (False, True)
     ]
     assert all(f == hier[0] for f in hier), \
         "hierarchy zero-fault differential diverged"

@@ -183,9 +183,8 @@ class SlotAccurateHierarchy:
         if n_clusters < 2 or procs_per_cluster < 1:
             raise ValueError("need >= 2 clusters and >= 1 processor each")
         #: Engine strategy used by :meth:`run_ops_engine` when none is
-        #: passed per call; validated here so a bad name fails early —
-        #: including engines this layer cannot drive (``stacked``).
-        self.engine = resolve_engine(engine, layer="hierarchy")
+        #: passed per call; validated here so a bad name fails early.
+        self.engine = resolve_engine(engine)
         self.n_clusters = n_clusters
         self.per = procs_per_cluster
         self.n_procs = n_clusters * procs_per_cluster
@@ -646,7 +645,7 @@ class SlotAccurateHierarchy:
         leaps of :meth:`run_ops_batch`, so all strategies produce
         bit-identical observable results (invariant 10).
         """
-        name = resolve_engine(engine, default=self.engine, layer="hierarchy")
+        name = resolve_engine(engine, default=self.engine)
         if name == ENGINE_REFERENCE:
             self.run_ops(ops, max_slots)
         else:

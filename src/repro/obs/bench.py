@@ -82,16 +82,12 @@ def _run_report(system: str, params: Dict[str, object], summary,
 # Individual runs
 
 
-def _cfm_engine_setup(n_procs: int, bank_cycle: int,
-                      probe: Optional[Probe] = None):
-    """Build one engine-driven CFM run, primed but not yet advanced.
-
-    Returns ``(params, summary, mem)`` with the saturating full-load read
-    workload wired as completion callbacks — the identical issue stream
-    under every engine strategy.  The stacked engine's spec runner
-    (:func:`repro.fastpath.stack.run_specs_stacked`) builds its lanes
-    through this same helper so a stacked run report is assembled from
-    exactly the serial path's state."""
+def _run_cfm_engine(n_procs: int, bank_cycle: int, cycles: int,
+                    engine: str,
+                    probe: Optional[Probe] = None) -> Dict[str, object]:
+    """One engine-driven CFM run: the saturating full-load read workload
+    wired as completion callbacks — the identical issue stream under every
+    engine strategy — advanced ``cycles`` slots by ``engine``."""
     from repro.core.cfm import AccessKind, AccessState, CFMemory
     from repro.core.config import CFMConfig
     from repro.sim.stats import RunSummary
@@ -118,12 +114,7 @@ def _cfm_engine_setup(n_procs: int, bank_cycle: int,
 
     for p in range(n_procs):
         mem.issue(p, AccessKind.READ, offset=p % 4, on_finish=finished_e)
-    return params, summary, mem
-
-
-def _cfm_engine_report(params: Dict[str, object], summary, cycles: int,
-                       engine: str) -> Dict[str, object]:
-    """Assemble the run report of one advanced engine-driven CFM run."""
+    mem.run_engine(cycles, engine=engine)
     summary.cycles = cycles
     params["engine"] = engine
     return _run_report("cfm", params, summary, MetricsRegistry(), "cfm.bank")
@@ -153,11 +144,8 @@ def _run_cfm(n_procs: int, bank_cycle: int, cycles: int,
     from repro.fastpath.engine import resolve_engine
 
     if engine is not None:
-        resolve_engine(engine, layer="cfm")  # fail fast, typed
-        params, summary, mem = _cfm_engine_setup(n_procs, bank_cycle,
-                                                 probe=probe)
-        mem.run_engine(cycles, engine=engine)
-        return _cfm_engine_report(params, summary, cycles, engine)
+        resolve_engine(engine)  # fail fast, typed
+        return _run_cfm_engine(n_procs, bank_cycle, cycles, engine, probe)
     from repro.core.cfm import AccessKind, CFMemory
     from repro.core.config import CFMConfig
     from repro.sim.stats import RunSummary
@@ -516,7 +504,7 @@ def _run_qos(n_procs: int, bank_cycle: int, cycles: int, seed: int = 0,
     from repro.sim.workload import MixedCriticalityWorkload
 
     if engine is not None:
-        resolve_engine(engine, layer="cfm")  # fail fast, typed
+        resolve_engine(engine)  # fail fast, typed
     cfg = CFMConfig(n_procs=n_procs, bank_cycle=bank_cycle)
     mem = CFMemory(cfg, probe=probe, arbitration=arbitration)
     if degraded_bank is not None:
@@ -650,11 +638,6 @@ PROFILABLE_SYSTEMS = frozenset({"cache", "hierarchy"})
 #: QoS runner (which drives a CFM underneath).
 ENGINE_SYSTEMS = frozenset({"cfm", "cache", "hierarchy", "qos"})
 
-#: Seam layer each engine-aware system resolves engines against (systems
-#: absent here are their own layer).  ``qos`` runs a CFM, so the stacked
-#: engine — CFM-only — is valid for it.
-SYSTEM_ENGINE_LAYER = {"qos": "cfm"}
-
 
 def run_spec(spec: Dict[str, object]) -> Dict[str, object]:
     """Execute one run spec and return its run report."""
@@ -677,9 +660,8 @@ def _spec(system: str, **params: object) -> Dict[str, object]:
 
 def specs_quick(quick: bool = True) -> List[Dict[str, object]]:
     """The smoke trajectory: CFM + interleaved baseline + one run through
-    each batched layer (cache protocol, two-level hierarchy), plus a
-    stage-4 stacked-engine CFM run (a width-1 stack here; the sweep and
-    the serving layer stack it wider)."""
+    each batched layer (cache protocol, two-level hierarchy), plus one
+    engine-pinned CFM run (``engine="stacked"``, the span walk)."""
     cycles = 2_000 if quick else 20_000
     rounds = 4 if quick else 20
     return [
@@ -840,13 +822,11 @@ def run_benchmark(name: str, quick: bool = False,
     every run whose system supports it gains a ``"hotpath"`` section —
     batch/tick/fallback counters, also deterministic.  With ``engine``
     set, every run whose system sits behind the engine-strategy seam
-    (:data:`ENGINE_SYSTEMS`) *and supports the engine* dispatches through
-    that strategy; results are bit-identical across engines (invariants
-    10–11), so such documents differ from the default only in
-    ``params.engine`` and observer-dependent sections.  Engines with a
-    restricted layer set (``stacked`` is CFM-only) leave the other seam
-    systems on their default engine rather than failing the document."""
-    from repro.fastpath.engine import engine_available, resolve_engine
+    (:data:`ENGINE_SYSTEMS`) dispatches through that strategy; results
+    are bit-identical across engines (invariants 10–11), so such
+    documents differ from the default only in ``params.engine`` and
+    observer-dependent sections."""
+    from repro.fastpath.engine import resolve_engine
 
     if engine is not None:
         engine = resolve_engine(engine)  # fail fast on unknown names
@@ -857,9 +837,7 @@ def run_benchmark(name: str, quick: bool = False,
                 spec["params"]["profile"] = True  # type: ignore[index]
     if engine is not None:
         for spec in specs:
-            system = str(spec["system"])
-            layer = SYSTEM_ENGINE_LAYER.get(system, system)
-            if system in ENGINE_SYSTEMS and engine_available(engine, layer):
+            if spec["system"] in ENGINE_SYSTEMS:
                 spec["params"]["engine"] = engine  # type: ignore[index]
     doc: Dict[str, object] = {
         "bench": name, "schema": SCHEMA,

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import inspect
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Tuple
+from typing import Dict, Optional
 
 from repro.sim.criticality import TIERS
 
@@ -115,6 +115,21 @@ def _validate_params(system: str, params: object) -> Dict[str, object]:
     return out
 
 
+def _inject_int(obj: Dict[str, object], key: str, default: int,
+                what: str, lo: Optional[int] = None,
+                hi: Optional[int] = None) -> int:
+    """``obj[key]`` as a plain JSON integer (never a bool, float or
+    string), defaulting to ``default`` and bounded to ``[lo, hi]``."""
+    value = obj.get(key, default)
+    if (isinstance(value, bool) or not isinstance(value, int)
+            or (lo is not None and value < lo)
+            or (hi is not None and value > hi)):
+        bounds = ("" if lo is None else f" >= {lo}") + \
+            ("" if hi is None else f" and <= {hi}")
+        raise RequestError(f"{what} must be an int{bounds}, got {value!r}")
+    return value
+
+
 def _validate_inject(system: str, inject: object) -> Dict[str, object]:
     from repro.faults.plan import FAULT_KINDS
 
@@ -141,13 +156,11 @@ def _validate_inject(system: str, inject: object) -> Dict[str, object]:
                     f"unknown fault kind {kind!r} "
                     f"(valid: {' '.join(sorted(FAULT_KINDS))})"
                 )
-            validated.append({
-                "kind": kind,
-                "target": int(ev.get("target", 0)),
-                "start": int(ev.get("start", 0)),
-                "duration": int(ev.get("duration", 1)),
-                "extra": int(ev.get("extra", 0)),
-            })
+            validated.append({"kind": kind, **{
+                key: _inject_int(ev, key, default, f"inject event {key}")
+                for key, default in (("target", 0), ("start", 0),
+                                     ("duration", 1), ("extra", 0))
+            }})
         out["events"] = validated
     else:
         kinds = inject.get("kinds", ("bank_stuck", "bank_slow"))
@@ -159,18 +172,11 @@ def _validate_inject(system: str, inject: object) -> Dict[str, object]:
             )
         out["kinds"] = list(kinds)
         for key, default in (("n_events", 3), ("horizon", 256)):
-            value = inject.get(key, default)
-            if not isinstance(value, int) or value < 1:
-                raise RequestError(f"inject.{key} must be a positive int")
-            out[key] = value
-    seed = inject.get("seed", 0)
-    if not isinstance(seed, int):
-        raise RequestError("inject.seed must be an int")
-    out["seed"] = seed
-    rounds = inject.get("rounds", 2)
-    if not isinstance(rounds, int) or not 1 <= rounds <= 16:
-        raise RequestError("inject.rounds must be an int in [1, 16]")
-    out["rounds"] = rounds
+            out[key] = _inject_int(inject, key, default, f"inject.{key}",
+                                   lo=1)
+    out["seed"] = _inject_int(inject, "seed", 0, "inject.seed")
+    out["rounds"] = _inject_int(inject, "rounds", 2, "inject.rounds",
+                                lo=1, hi=16)
     return out
 
 
@@ -195,7 +201,7 @@ def validate_request(obj: object,
     tenant = obj.get("tenant", DEFAULT_TENANT)
     tenant = _require_str(tenant, "tenant", max_len=_MAX_TENANT_LEN)
     system = obj.get("system")
-    if system not in SYSTEMS:
+    if not isinstance(system, str) or system not in SYSTEMS:
         raise RequestError(
             f"unknown system {system!r} (valid: {' '.join(sorted(SYSTEMS))})"
         )

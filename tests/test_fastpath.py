@@ -492,60 +492,3 @@ class TestParallelSweep:
 
         specs = benchmark_specs("quick")
         assert [run_spec(s) for s in specs] == BENCHMARKS["quick"](True)
-
-
-class TestEngineLayerResolution:
-    """The per-layer engine availability surface (stage 4 satellite):
-    ``stacked`` is CFM-only, and mismatches fail with a typed ValueError
-    naming the layers that DO support the engine."""
-
-    def test_supported_layers_registry(self):
-        from repro.fastpath.engine import (
-            ENGINE_LAYERS,
-            ENGINES,
-            supported_layers,
-        )
-
-        assert supported_layers("reference") == ENGINE_LAYERS
-        assert supported_layers("batch") == ENGINE_LAYERS
-        assert supported_layers("vectorized") == ENGINE_LAYERS
-        assert supported_layers("stacked") == ("cfm",)
-        for name in ENGINES:
-            assert set(supported_layers(name)) <= set(ENGINE_LAYERS)
-
-    def test_engine_available_predicate(self):
-        from repro.fastpath.engine import engine_available
-
-        assert engine_available("reference", "cache")
-        assert engine_available("batch", "hierarchy")
-        assert not engine_available("stacked", "cache")
-        assert not engine_available("stacked", "hierarchy")
-        assert engine_available("stacked", "cfm")
-        assert engine_available("vectorized", "cfm")
-        # Unknown engines and unknown layers are simply unavailable.
-        assert not engine_available("turbo", "cfm")
-        assert not engine_available("stacked", "network")
-
-    def test_resolve_engine_layer_mismatch_is_typed(self):
-        from repro.fastpath.engine import resolve_engine
-
-        assert resolve_engine("stacked", layer="cfm") == "stacked"
-        with pytest.raises(ValueError, match="supported layers: cfm"):
-            resolve_engine("stacked", layer="cache")
-        with pytest.raises(ValueError, match="supported layers: cfm"):
-            resolve_engine("stacked", layer="hierarchy")
-
-    def test_resolve_engine_custom_available_predicate(self):
-        from repro.fastpath.engine import resolve_engine
-
-        calls = []
-
-        def deny(engine, layer):
-            calls.append((engine, layer))
-            return False
-
-        with pytest.raises(ValueError, match="does not support layer"):
-            resolve_engine("batch", layer="cfm", available=deny)
-        assert calls == [("batch", "cfm")]
-        assert resolve_engine(
-            "batch", layer="cfm", available=lambda e, l: True) == "batch"

@@ -11,7 +11,9 @@ Three proof obligations:
   per-slot).  Observed runs also compare every completed read's result
   block, which pins the span walk's shared whole-block read memo.
 * **observability** — HotpathProfiler per-layer counter sums equal the
-  slots each layer advanced, and every engine raises
+  slots each layer advanced (exactly ``batched_slots`` on a provably
+  clean window, ``fallback.hazard`` on a write interleave, for budgets
+  from 0 up), and every engine raises
   :class:`SimulationTimeout` at the identical strict boundary slot.
 
 Satellites ride along: bounded table caches + degraded-table aliasing,
@@ -41,13 +43,10 @@ from repro.faults.chaos import (
 )
 from repro.fastpath.engine import (
     DEFAULT_ENGINE,
-    ENGINE_BATCH,
     ENGINE_REFERENCE,
-    ENGINE_STACKED,
     ENGINE_VECTORIZED,
     ENGINES,
     resolve_engine,
-    supported_layers,
 )
 from repro.fastpath.tables import (
     TABLE_CACHE_SIZE,
@@ -60,13 +59,6 @@ from repro.obs.hotpath import HotpathProfiler
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.probe import RecordingProbe
 from repro.sim.engine import SimulationTimeout
-
-#: Engines each layer can drive (the stage-4 ``stacked`` engine is
-#: CFM-only; the three originals run everywhere).
-CFM_ENGINES = tuple(e for e in ENGINES if "cfm" in supported_layers(e))
-CACHE_ENGINES = tuple(e for e in ENGINES if "cache" in supported_layers(e))
-HIER_ENGINES = tuple(e for e in ENGINES if "hierarchy" in supported_layers(e))
-
 
 # --------------------------------------------------------------------------
 # Engine registry
@@ -89,16 +81,8 @@ def test_layer_constructors_accept_engine(engine):
     expect = resolve_engine(engine)
     assert CFMemory(CFMConfig(n_procs=4, bank_cycle=1), engine=engine).engine \
         == expect
-    if engine is None or "cache" in supported_layers(engine):
-        assert CacheSystem(4, engine=engine).engine == expect
-        assert SlotAccurateHierarchy(2, 2, engine=engine).engine == expect
-    else:
-        # Layer-restricted engines fail at construction with a typed
-        # error naming the layers that do support them.
-        with pytest.raises(ValueError, match="supported layers"):
-            CacheSystem(4, engine=engine)
-        with pytest.raises(ValueError, match="supported layers"):
-            SlotAccurateHierarchy(2, 2, engine=engine)
+    assert CacheSystem(4, engine=engine).engine == expect
+    assert SlotAccurateHierarchy(2, 2, engine=engine).engine == expect
 
 
 def test_layer_constructors_reject_unknown_engine():
@@ -125,7 +109,7 @@ def test_cfm_three_way_bit_identical(n_procs, bank_cycle):
     for attach_zero in zeros:
         prints = [
             _cfm_fingerprint(n_procs, bank_cycle, engine, attach_zero)
-            for engine in CFM_ENGINES
+            for engine in ENGINES
         ]
         assert all(p == prints[0] for p in prints), (
             n_procs, bank_cycle, attach_zero)
@@ -136,7 +120,7 @@ def test_cache_three_way_bit_identical(attach_zero):
     prints = [
         _cache_fingerprint(4, rounds=4, seed=5, engine=engine,
                            attach_zero=attach_zero)
-        for engine in CACHE_ENGINES
+        for engine in ENGINES
     ]
     assert all(p == prints[0] for p in prints)
 
@@ -146,7 +130,7 @@ def test_hierarchy_three_way_bit_identical(attach_zero):
     prints = [
         _hier_fingerprint(2, 2, rounds=3, seed=7, engine=engine,
                           attach_zero=attach_zero)
-        for engine in HIER_ENGINES
+        for engine in ENGINES
     ]
     assert all(p == prints[0] for p in prints)
 
@@ -165,7 +149,7 @@ def test_cache_degraded_three_way_bit_identical():
     period-b table — under the period-(b-1) degraded schedule it would
     read the wrong banks.  Both fast engines must now detect the degraded
     module and tick per-slot, matching the reference bit for bit."""
-    prints = [_degraded_cache_fingerprint(engine) for engine in CACHE_ENGINES]
+    prints = [_degraded_cache_fingerprint(engine) for engine in ENGINES]
     assert all(p == prints[0] for p in prints)
 
 
@@ -178,7 +162,7 @@ def _degraded_hier_fingerprint(engine):
 
 
 def test_hierarchy_degraded_three_way_bit_identical():
-    prints = [_degraded_hier_fingerprint(engine) for engine in HIER_ENGINES]
+    prints = [_degraded_hier_fingerprint(engine) for engine in ENGINES]
     assert all(p == prints[0] for p in prints)
 
 
@@ -213,7 +197,7 @@ def test_cfm_metrics_snapshot_identical_across_engines():
     the reference ticks, and every other name rides the span walk, which
     accumulates bank utilization in bulk — so the snapshot is identical
     regardless of strategy."""
-    prints = [_metered_cfm(engine) for engine in CFM_ENGINES]
+    prints = [_metered_cfm(engine) for engine in ENGINES]
     assert all(p == prints[0] for p in prints)
     assert prints[0][2]  # the registry really was fed
 
@@ -223,8 +207,8 @@ def test_cfm_metrics_snapshot_identical_across_engines():
 
 #: (n_procs, bank_cycle): degenerate one- and two-bank machines, c = n,
 #: non-power-of-two shapes, and the Table 3.3 shapes.
-OBSERVED_SHAPES = [(1, 1), (2, 1), (3, 2), (4, 4), (8, 2), (16, 4), (32, 8),
-                   (5, 3)]
+OBSERVED_SHAPES = [(1, 1), (2, 1), (3, 2), (4, 4), (4, 1), (8, 2), (16, 4),
+                   (32, 8), (5, 3)]
 
 
 def _drive_reissue(mem, advance, cycles, shared):
@@ -355,8 +339,85 @@ def _drive_stagger(mem, advance, cycles, shared):
         k += 1
 
 
+def _drive_reads(mem, advance, cycles, shared, stride=1):
+    """Full-load streaming reads of shared offsets ``p % 4``, re-issued
+    from the finish callback and advanced as one window; ``stride > 1``
+    leaves every other processor idle."""
+    del shared
+
+    def reissue(acc):
+        mem.issue(acc.proc, AccessKind.READ, acc.proc % 4, on_finish=reissue)
+
+    for p in range(0, mem.cfg.n_procs, stride):
+        mem.issue(p, AccessKind.READ, p % 4, on_finish=reissue)
+    advance(cycles)
+
+
+def _drive_private_writes(mem, advance, cycles, shared):
+    """Every second re-issue of a processor writes its private offset:
+    hazard-free writes between whole-block reads of the same offset,
+    which exercise the walk's write branch and memo invalidation."""
+    del shared
+    n_banks = mem.cfg.n_banks
+    counts = [0] * mem.cfg.n_procs
+
+    def reissue(acc):
+        p = acc.proc
+        counts[p] += 1
+        if counts[p] % 2 == 0:
+            data = Block.of_values([counts[p] * 100 + p] * n_banks)
+            mem.issue(p, AccessKind.WRITE, p, data=data,
+                      version=f"P{p}.{counts[p]}", on_finish=reissue)
+        else:
+            mem.issue(p, AccessKind.READ, p, on_finish=reissue)
+
+    for p in range(mem.cfg.n_procs):
+        mem.issue(p, AccessKind.READ, p, on_finish=reissue)
+    advance(cycles)
+
+
+def _drive_conflicting_writes(mem, advance, cycles, shared):
+    """Processors 0 and 1 write offset 0 on every third re-issue: under
+    full load both writes are in flight together, the write-interleave
+    hazard breaks the static proof, and the walk ticks through it."""
+    del shared
+    n_banks = mem.cfg.n_banks
+    counts = [0] * mem.cfg.n_procs
+
+    def reissue(acc):
+        p = acc.proc
+        counts[p] += 1
+        if p < 2 and counts[p] % 3 == 0:
+            data = Block.of_values([counts[p] * 10 + p] * n_banks)
+            mem.issue(p, AccessKind.WRITE, 0, data=data,
+                      version=f"W{p}.{counts[p]}", on_finish=reissue)
+        else:
+            mem.issue(p, AccessKind.READ, p, on_finish=reissue)
+
+    for p in range(mem.cfg.n_procs):
+        mem.issue(p, AccessKind.READ, p, on_finish=reissue)
+    advance(cycles)
+
+
+def _drive_once(mem, advance, cycles, shared):
+    """One read per processor, then nothing: one b-slot span of reads
+    followed by an idle leap over the rest of the window."""
+    del shared
+    for p in range(mem.cfg.n_procs):
+        mem.issue(p, AccessKind.READ, p % 3)
+    advance(cycles)
+
+
 OBSERVED_DRIVERS = {"reissue": _drive_reissue, "top": _drive_top_of_slot,
-                    "poke": _drive_poke, "stagger": _drive_stagger}
+                    "poke": _drive_poke, "stagger": _drive_stagger,
+                    "reads": _drive_reads,
+                    "reads2": lambda *a: _drive_reads(*a, stride=2),
+                    "private": _drive_private_writes,
+                    "conflict": _drive_conflicting_writes,
+                    "once": _drive_once}
+#: Drivers whose whole window is provably batchable: every slot is a
+#: batched slot, none ticks.
+CLEAN_DRIVERS = ("reads", "reads2", "private")
 
 
 def _observed_run(n_procs, bank_cycle, driver, cycles, batched, shared=False,
@@ -370,7 +431,7 @@ def _observed_run(n_procs, bank_cycle, driver, cycles, batched, shared=False,
     # Result blocks are read at the end of the run, so a memo dict that
     # was stale when handed out, or mutated after, shows up here.
     stream = [(a.access_id, a.proc, a.kind.value, a.state.value,
-               a.issue_slot, a.complete_slot,
+               a.issue_slot, a.complete_slot, a.first_bank,
                a.result.words if a.kind.is_read else None)
               for a in mem.completed]
     state = (mem.slot, [sorted(bank.items()) for bank in mem.banks],
@@ -382,21 +443,32 @@ def _observed_run(n_procs, bank_cycle, driver, cycles, batched, shared=False,
 @pytest.mark.parametrize("n_procs,bank_cycle", OBSERVED_SHAPES)
 def test_cfm_observed_batch_matches_per_slot(n_procs, bank_cycle, driver):
     """An observed run_batch(n) leaves the registry snapshot, completion
-    stream and memory state of per-slot run(n) — and really batches."""
+    stream and memory state of per-slot run(n) — and really batches: the
+    profiler's slot counters sum to the window, a provably clean window
+    is batched whole, and a write interleave is ticked as a hazard."""
     n_banks = n_procs * bank_cycle
-    # Window ends off any multiple of b, some inside a c > 1 hold window.
-    for cycles in (1, bank_cycle, 3 * n_banks + 1, 7 * n_banks - 2):
+    # An empty budget, then window ends off any multiple of b, some inside
+    # a c > 1 hold window.
+    for cycles in (0, 1, bank_cycle, 3 * n_banks + 1, 7 * n_banks - 2):
         for shared in ((False, True) if driver == "reissue" else (False,)):
             ref, _ = _observed_run(n_procs, bank_cycle, driver, cycles,
                                    batched=False, shared=shared)
             got, events = _observed_run(n_procs, bank_cycle, driver, cycles,
                                         batched=True, shared=shared)
             assert got == ref, (cycles, shared)
+            assert sum(events.values()) == cycles, (cycles, events)
             assert "tick.pinned" not in events
             if cycles > 1:
                 assert events.get("batched_slots", 0) > 0, (cycles, events)
-            if shared and n_procs > 1 and cycles > 3 * n_banks:
+            hazard = shared or driver == "conflict"
+            if hazard and n_procs > 1 and cycles > 3 * n_banks:
                 assert events.get("fallback.hazard", 0) > 0
+                assert events.get("batched_slots", 0) < cycles
+            if driver in CLEAN_DRIVERS and cycles:
+                assert events == {"batched_slots": cycles}, (cycles, events)
+            if driver == "once" and cycles > n_banks:
+                assert events == {"batched_slots": n_banks,
+                                  "skipped_slots": cycles - n_banks}
     # A probe is still defined per slot: it pins every slot, and the
     # snapshot and event stream stay those of the reference.
     cycles = 3 * n_banks + 1
@@ -507,7 +579,7 @@ def test_vector_fallback_counted_but_not_slot_denominated():
 # Strict timeout boundary, identical across engines (satellite 1)
 
 
-@pytest.mark.parametrize("engine", CACHE_ENGINES)
+@pytest.mark.parametrize("engine", ENGINES)
 def test_cache_timeout_identical_slot_across_engines(engine):
     sys_ = CacheSystem(4)
     sys_.run_ops([sys_.acquire(0, 0)])  # unmatched acquire wedges proc 1

@@ -32,7 +32,7 @@ from repro.core.cfm import (
     CFMemory,
 )
 from repro.core.config import CFMConfig
-from repro.fastpath.engine import ENGINES, engine_available
+from repro.fastpath.engine import ENGINES
 from repro.hierarchy.controller import EventType, NetworkController
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.sla import SlaTracker
@@ -45,10 +45,6 @@ from repro.sim.criticality import (
     parse_tier,
     rank_of,
 )
-
-
-def _engines():
-    return [e for e in ENGINES if engine_available(e, "cfm")]
 
 
 def _mem(n_procs=4, bank_cycle=1, **kw):
@@ -247,7 +243,7 @@ class TestZeroContentionIdentity:
     @pytest.mark.parametrize("n_procs,bank_cycle", [(4, 1), (8, 2)])
     def test_tagged_submit_is_bit_identical_to_issue(self, n_procs,
                                                      bank_cycle):
-        for engine in _engines():
+        for engine in ENGINES:
             ref_log, ref_end, _ = _closed_loop(
                 n_procs, bank_cycle, 300, engine, False, "priority")
             for arbitration in ARBITRATION_POLICIES:
@@ -281,7 +277,7 @@ class TestEngineDifferentialSweep:
         }
         for arbitration in ARBITRATION_POLICIES:
             baseline = None
-            for engine in [None] + _engines():
+            for engine in [None, *ENGINES]:
                 spec_params = dict(params, arbitration=arbitration)
                 if engine is not None:
                     spec_params["engine"] = engine

@@ -64,6 +64,7 @@ class TestValidateRequest:
 
     @pytest.mark.parametrize("bad, fragment", [
         ({"id": "x", "system": "no_such"}, "unknown system"),
+        ({"id": "x", "system": ["cfm"]}, "unknown system"),
         ({"id": "x", "system": "cfm", "params": {"frob": 1}}, "unknown param"),
         ({"id": "x", "system": "cfm", "params": {"probe": 1}}, "cannot be served"),
         ({"id": "x", "system": "cfm", "params": {"n_procs": [4]}}, "JSON scalar"),
@@ -81,6 +82,27 @@ class TestValidateRequest:
     def test_rejects_malformed(self, bad, fragment):
         with pytest.raises(RequestError, match=fragment):
             validate_request(bad)
+
+    @pytest.mark.parametrize("bad", ["x", None, [1], 1.5, True])
+    @pytest.mark.parametrize("where, key", [
+        ("event", "target"), ("event", "start"), ("event", "duration"),
+        ("event", "extra"), ("inject", "seed"), ("plan", "n_events"),
+        ("plan", "horizon"),
+    ])
+    def test_inject_ints_reject_non_ints(self, where, key, bad):
+        """Every integer field of ``inject`` takes only a plain JSON int —
+        never a string, null, list, float or bool — and says so with a
+        RequestError."""
+        req = {"id": "x", "system": "cfm", "params": dict(CFM_PARAMS),
+               "inject": _normalized(DEAD_BANK_INJECT)}
+        if where == "event":
+            req["inject"]["events"][0][key] = bad
+        elif where == "plan":
+            req["inject"] = {"kinds": ["bank_stuck"], key: bad}
+        else:
+            req["inject"][key] = bad
+        with pytest.raises(RequestError, match=key):
+            validate_request(req)
 
     def test_inject_validates_and_normalizes(self):
         req = validate_request({
@@ -265,6 +287,45 @@ class TestSimulationService:
         assert {"t0", "t1"} <= set(snap["tenants"])
         t0 = snap["tenants"]["t0"]["requests"]["counts"]
         assert t0["total"] == t0["ok"] == 3
+
+    def test_malformed_inject_is_answered_and_connection_survives(self, pool):
+        """A malformed ``inject`` field gets a typed RequestError response
+        on the live connection, and the connection keeps serving."""
+        bad_events = [{"target": "x"}, {"start": None}, {"duration": [1]},
+                      {"extra": 1.5}]
+
+        async def scenario():
+            service = SimulationService(pool=pool, max_inflight=2)
+            server = await service.start("127.0.0.1", 0)
+            port = server.sockets[0].getsockname()[1]
+            reader, writer = await asyncio.open_connection("127.0.0.1", port)
+            responses = []
+            for i, bad in enumerate(bad_events):
+                event = dict(DEAD_BANK_INJECT["events"][0], **bad)
+                req = {"id": f"bad{i}", "system": "cfm",
+                       "params": dict(CFM_PARAMS),
+                       "inject": {"events": [event]}}
+                writer.write((json.dumps(req) + "\n").encode())
+                await writer.drain()
+                responses.append(json.loads(
+                    await asyncio.wait_for(reader.readline(), 10)))
+            writer.write((json.dumps({"id": "good", "system": "cfm",
+                                      "params": dict(CFM_PARAMS)})
+                          + "\n").encode())
+            await writer.drain()
+            responses.append(json.loads(
+                await asyncio.wait_for(reader.readline(), 60)))
+            writer.close()
+            server.close()
+            await server.wait_closed()
+            return responses
+
+        responses = asyncio.run(scenario())
+        for i, resp in enumerate(responses[:-1]):
+            assert resp["id"] == f"bad{i}" and resp["ok"] is False
+            assert resp["error"]["type"] == "RequestError"
+            assert resp["error"]["typed"] is True
+        assert responses[-1]["id"] == "good" and responses[-1]["ok"] is True
 
     def test_http_run_metrics_health_and_404(self, pool):
         async def scenario():

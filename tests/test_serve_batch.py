@@ -27,7 +27,6 @@ import time
 
 import pytest
 
-from repro.fastpath.engine import engine_available
 from repro.serve import (
     MicroBatcher,
     ShardedWorkerPool,
@@ -125,84 +124,25 @@ class TestServeWorkerBatch:
 
 
 # --------------------------------------------------------------------------
-# Stacked execution inside a batch (stage 4)
+# engine="stacked" is a plain engine name inside a batch
 
 
-def _stacked(cycles, n_procs=4, bank_cycle=1):
-    return {"system": "cfm",
-            "params": {"n_procs": n_procs, "bank_cycle": bank_cycle,
-                       "cycles": cycles, "engine": "stacked"}}
-
-
-class TestStackedBatch:
-    pytestmark = pytest.mark.skipif(
-        not engine_available("stacked", "cfm"),
-        reason="stacked engine unavailable (numpy)")
-
-    def test_stacked_flush_is_one_run_and_bit_identical(self):
-        payloads = [_stacked(100), _stacked(150), _stacked(200)]
-        results = serve_worker_batch(payloads)
-        for payload, result in zip(payloads, results):
-            assert result["ok"], result.get("error")
-            assert result["stacked"] is True
-            alone = serve_worker(_normalized(payload))
-            assert (_normalized(result["report"])
-                    == _normalized(alone["report"]))
-        # Exactly one first lane carries the width of the whole stack.
-        widths = [r["stack_width"] for r in results if "stack_width" in r]
-        assert widths == [3]
-
-    def test_width_sums_to_stacked_request_count(self):
-        """The serve.stack invariant at the worker level: across a mixed
-        batch — duplicates, a second shape group, non-stacked riders —
-        the first-lane widths sum to exactly the number of results that
-        executed stacked."""
-        payloads = [
-            _stacked(100),
-            _stacked(100),             # duplicate: deduped, NOT a lane
-            _stacked(150),
-            _stacked(80, n_procs=8, bank_cycle=2),  # second shape group
-            _cfm(100),                 # engineless: never stacked
-        ]
-        results = serve_worker_batch(payloads)
-        assert all(r["ok"] for r in results)
-        stacked_results = [r for r in results if r.get("stacked")]
-        widths = [r["stack_width"] for r in results if "stack_width" in r]
-        assert sum(widths) == len(stacked_results) == 3
-        assert sorted(widths) == [1, 2]  # (4,1) group of 2, (16,2) group of 1
-        # The dedup replica inherits the report but no stack bookkeeping —
-        # else widths would double-count.
-        dup = results[1]
-        assert dup["deduped"] is True
-        assert "stacked" not in dup and "stack_width" not in dup
-        assert (_normalized(dup["report"])
-                == _normalized(results[0]["report"]))
-        # The engineless rider is untouched by the stacking path.
-        assert "stacked" not in results[4]
-
-    def test_service_accounting_width_sums_to_requests(self, pool):
-        """Service-level serve.stack counters: width always sums to the
-        stacked-executed request count, stacks matches the width samples."""
-
-        async def scenario():
-            service = SimulationService(pool=pool, max_inflight=8,
-                                        max_batch=4, cache_size=0)
-            tasks = [asyncio.ensure_future(service.process(
-                {"id": f"k{i}", "system": "cfm",
-                 "params": dict(CFM_PARAMS, cycles=100 + 10 * i,
-                                engine="stacked")})) for i in range(6)]
-            await asyncio.sleep(0)
-            await service.drain()
-            return service, [t.result() for t in tasks]
-
-        service, results = asyncio.run(scenario())
-        assert all(r["ok"] for r in results)
-        snap = service.metrics_snapshot()
-        counts = snap["service"]["serve.stack"]["counts"]
-        assert counts["requests"] == 6
-        assert counts["width"] == counts["requests"]
-        width_stats = snap["service"]["serve.stack.width"]
-        assert width_stats["n"] == counts["stacks"] >= 1
+def test_stacked_engine_payloads_serve_like_any_other():
+    """``stacked`` payloads go through serve_worker after dedup like every
+    other payload: reports equal a lone run, duplicates are replicated,
+    and no stacking bookkeeping rides the envelope."""
+    payloads = [_cfm(100), _cfm(150), _cfm(100), _cfm(80)]
+    for payload in payloads:
+        payload["params"]["engine"] = "stacked"
+    payloads[3]["params"].update(n_procs=8, bank_cycle=2)
+    results = serve_worker_batch(payloads)
+    assert [r.get("deduped", False) for r in results] == [
+        False, False, True, False]
+    for payload, result in zip(payloads, results):
+        assert result["ok"], result.get("error")
+        assert not {"stacked", "stack_width"} & set(result)
+        alone = serve_worker(_normalized(payload))
+        assert _normalized(result["report"]) == _normalized(alone["report"])
 
 
 # --------------------------------------------------------------------------
