@@ -64,7 +64,6 @@ class TestValidateRequest:
 
     @pytest.mark.parametrize("bad, fragment", [
         ({"id": "x", "system": "no_such"}, "unknown system"),
-        ({"id": "x", "system": ["cfm"]}, "unknown system"),
         ({"id": "x", "system": "cfm", "params": {"frob": 1}}, "unknown param"),
         ({"id": "x", "system": "cfm", "params": {"probe": 1}}, "cannot be served"),
         ({"id": "x", "system": "cfm", "params": {"n_procs": [4]}}, "JSON scalar"),
@@ -78,6 +77,7 @@ class TestValidateRequest:
         ({"id": "x", "system": "cfm",
           "inject": {"events": [{"kind": "bad_kind"}]}}, "unknown fault kind"),
         ("just a string", "JSON object"),
+        ({"id": "x", "system": ["cfm"]}, "unknown system"),
     ])
     def test_rejects_malformed(self, bad, fragment):
         with pytest.raises(RequestError, match=fragment):
